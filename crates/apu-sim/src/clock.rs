@@ -10,8 +10,6 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// A count of device clock cycles.
 ///
 /// A newtype over `u64` so cycle counts cannot be confused with element
@@ -24,9 +22,7 @@ use serde::{Deserialize, Serialize};
 /// // 1000 cycles at 500 MHz is 2 µs.
 /// assert_eq!(Frequency::LEDA_E.cycles_to_duration(c * 2).as_micros(), 2);
 /// ```
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Cycles(u64);
 
 impl Cycles {
@@ -123,7 +119,7 @@ impl Sum for Cycles {
 /// use apu_sim::Frequency;
 /// assert_eq!(Frequency::LEDA_E.hz(), 500.0e6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Frequency(f64);
 
 impl Frequency {

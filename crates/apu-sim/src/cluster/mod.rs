@@ -63,12 +63,11 @@ pub use placement::{key_shard, Placement};
 pub use report::{ClusterHandle, ClusterReport, ShardDrain};
 pub use routing::RoutePolicy;
 
-use std::any::Any;
 use std::time::Duration;
 
 use crate::device::ApuDevice;
 use crate::error::Error;
-use crate::queue::{BatchKey, BatchRunner, Completion, DeviceQueue, Job, Priority, QueueConfig};
+use crate::queue::{BatchKey, Completion, DeviceQueue, Job, Priority, QueueConfig};
 use crate::spec::TaskSpec;
 use crate::stats::QueueStats;
 use crate::trace::{TraceEvent, TraceEventKind};
@@ -426,181 +425,6 @@ impl<'d, 't> DeviceCluster<'d, 't> {
         Ok(ClusterHandle::new(shard, task))
     }
 
-    /// Router-placed raw-job submission with an explicit arrival.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::QueueFull`] when the chosen shard's backlog
-    /// bound is hit.
-    #[deprecated(since = "0.6.0", note = "build a `TaskSpec` and call `submit(spec)`")]
-    pub fn submit_at(
-        &mut self,
-        priority: Priority,
-        arrival: Duration,
-        job: Job<'t>,
-    ) -> Result<ClusterHandle> {
-        self.submit(TaskSpec::job(job).priority(priority).at(arrival))
-    }
-
-    /// Raw-job submission on an explicit shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidArg`] for a bad shard index or
-    /// [`Error::QueueFull`] when that shard's backlog bound is hit.
-    #[deprecated(
-        since = "0.6.0",
-        note = "build a `TaskSpec` with `.on_shard(shard)` and call `submit(spec)`"
-    )]
-    pub fn submit_to(
-        &mut self,
-        shard: usize,
-        priority: Priority,
-        arrival: Duration,
-        job: Job<'t>,
-    ) -> Result<ClusterHandle> {
-        self.submit(
-            TaskSpec::job(job)
-                .priority(priority)
-                .at(arrival)
-                .on_shard(shard),
-        )
-    }
-
-    /// Router-placed typed-output job.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::QueueFull`] when the chosen shard's backlog
-    /// bound is hit.
-    #[deprecated(
-        since = "0.6.0",
-        note = "build a `TaskSpec::typed` and call `submit(spec)`"
-    )]
-    pub fn submit_job<T, F>(
-        &mut self,
-        priority: Priority,
-        arrival: Duration,
-        job: F,
-    ) -> Result<ClusterHandle>
-    where
-        T: Any,
-        F: FnOnce(&mut ApuDevice) -> Result<(crate::TaskReport, T)> + 't,
-    {
-        self.submit(TaskSpec::typed(job).priority(priority).at(arrival))
-    }
-
-    /// Raw-job submission with a time-to-live on an explicit shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidArg`] for a bad shard index or
-    /// [`Error::QueueFull`] when that shard's backlog bound is hit.
-    #[deprecated(
-        since = "0.6.0",
-        note = "build a `TaskSpec` with `.ttl(...)` / `.on_shard(...)` and call `submit(spec)`"
-    )]
-    pub fn submit_with_ttl_to(
-        &mut self,
-        shard: usize,
-        priority: Priority,
-        arrival: Duration,
-        ttl: Duration,
-        job: Job<'t>,
-    ) -> Result<ClusterHandle> {
-        self.submit(
-            TaskSpec::job(job)
-                .priority(priority)
-                .at(arrival)
-                .ttl(ttl)
-                .on_shard(shard),
-        )
-    }
-
-    /// Router-placed batchable submission: under
-    /// [`RoutePolicy::ConsistentHash`] the key pins the shard, so
-    /// same-key submissions keep coalescing into shared dispatches.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::QueueFull`] when the chosen shard's backlog
-    /// bound is hit.
-    #[deprecated(
-        since = "0.6.0",
-        note = "build a `TaskSpec::batch` and call `submit(spec)`"
-    )]
-    pub fn submit_batchable(
-        &mut self,
-        priority: Priority,
-        arrival: Duration,
-        key: BatchKey,
-        payload: Box<dyn Any>,
-        run: BatchRunner<'t>,
-    ) -> Result<ClusterHandle> {
-        self.submit(
-            TaskSpec::batch(key, payload, run)
-                .priority(priority)
-                .at(arrival),
-        )
-    }
-
-    /// Batchable submission on an explicit shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidArg`] for a bad shard index or
-    /// [`Error::QueueFull`] when that shard's backlog bound is hit.
-    #[deprecated(
-        since = "0.6.0",
-        note = "build a `TaskSpec::batch` with `.on_shard(shard)` and call `submit(spec)`"
-    )]
-    pub fn submit_batchable_to(
-        &mut self,
-        shard: usize,
-        priority: Priority,
-        arrival: Duration,
-        key: BatchKey,
-        payload: Box<dyn Any>,
-        run: BatchRunner<'t>,
-    ) -> Result<ClusterHandle> {
-        self.submit(
-            TaskSpec::batch(key, payload, run)
-                .priority(priority)
-                .at(arrival)
-                .on_shard(shard),
-        )
-    }
-
-    /// Batchable submission with a time-to-live on an explicit shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidArg`] for a bad shard index or
-    /// [`Error::QueueFull`] when that shard's backlog bound is hit.
-    #[deprecated(
-        since = "0.6.0",
-        note = "build a `TaskSpec::batch` with `.ttl(...)` / `.on_shard(...)` and call `submit(spec)`"
-    )]
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_batchable_with_ttl_to(
-        &mut self,
-        shard: usize,
-        priority: Priority,
-        arrival: Duration,
-        ttl: Duration,
-        key: BatchKey,
-        payload: Box<dyn Any>,
-        run: BatchRunner<'t>,
-    ) -> Result<ClusterHandle> {
-        self.submit(
-            TaskSpec::batch(key, payload, run)
-                .priority(priority)
-                .at(arrival)
-                .ttl(ttl)
-                .on_shard(shard),
-        )
-    }
-
     /// Scatter: submits one job per shard (built by `make`, which
     /// receives the shard index), all arriving at the same instant —
     /// the fan-out half of scatter-gather execution. Returns one handle
@@ -669,8 +493,11 @@ impl<'d, 't> DeviceCluster<'d, 't> {
 
 #[cfg(test)]
 mod tests {
+    use std::any::Any;
+
     use super::*;
     use crate::config::SimConfig;
+    use crate::queue::BatchRunner;
     use crate::timing::VecOp;
 
     fn devices(n: usize) -> Vec<ApuDevice> {

@@ -1,12 +1,10 @@
 //! Simulator configuration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::clock::Frequency;
 use crate::timing::DeviceTiming;
 
 /// How the simulator executes device programs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ExecMode {
     /// Data is really moved and computed. Used by tests, examples, and
     /// small-scale experiment runs; results are bit-exact.
@@ -46,7 +44,7 @@ impl ExecMode {
 /// 1 MB L3, and a 500 MHz clock. `l4_bytes` defaults to 256 MiB rather than
 /// the device's 16 GB so that unit tests do not allocate gigabytes; scale
 /// it up (or use [`ExecMode::TimingOnly`]) for paper-scale experiments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Execution mode (functional vs timing-only).
     pub exec_mode: ExecMode,
@@ -75,7 +73,6 @@ pub struct SimConfig {
     /// so it cannot change any observable output — only wall-clock.
     /// Defaults from the `APU_SIM_FAST_FORWARD` environment variable
     /// (`1`/`true` to enable).
-    #[serde(default)]
     pub fast_forward: bool,
 }
 

@@ -5,8 +5,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::clock::Cycles;
 use crate::config::SimConfig;
 use crate::dma_async::PendingDma;
@@ -26,7 +24,7 @@ pub const NUM_BANKS: usize = 16;
 pub const NUM_MARKERS: usize = 4;
 
 /// Index of a computation-enabled vector register (0..24).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Vr(u8);
 
 impl Vr {
@@ -48,7 +46,7 @@ impl fmt::Display for Vr {
 }
 
 /// Index of an L1 vector-memory ("background") register (0..48).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Vmr(u8);
 
 impl Vmr {
@@ -70,7 +68,7 @@ impl fmt::Display for Vmr {
 }
 
 /// Index of a marker register (0..4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Marker(u8);
 
 impl Marker {
@@ -93,7 +91,7 @@ impl fmt::Display for Marker {
 
 /// Broad command classes for cycle attribution (consumed by the energy
 /// model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CycleClass {
     /// Vector arithmetic / logic executing in the bit processors.
     Compute,

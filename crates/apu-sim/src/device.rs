@@ -9,8 +9,6 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use crate::clock::Cycles;
 use crate::config::SimConfig;
 use crate::core::ApuCore;
@@ -24,7 +22,7 @@ use crate::trace::SharedSink;
 use crate::Result;
 
 /// Outcome of one device task (kernel invocation).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskReport {
     /// Cycles elapsed on the (slowest) participating core.
     pub cycles: Cycles,
@@ -329,46 +327,6 @@ impl ApuDevice {
         self.l4.read(handle, &mut bytes)?;
         bytes_to_pods(&bytes, out);
         Ok(())
-    }
-
-    /// Copies bytes host → device.
-    ///
-    /// # Errors
-    ///
-    /// Fails on stale handles or size overruns.
-    #[deprecated(since = "0.2.0", note = "use `copy_to_device::<u8>` instead")]
-    pub fn write_bytes(&mut self, handle: MemHandle, data: &[u8]) -> Result<()> {
-        self.copy_to_device(handle, data)
-    }
-
-    /// Copies bytes device → host.
-    ///
-    /// # Errors
-    ///
-    /// Fails on stale handles or size overruns.
-    #[deprecated(since = "0.2.0", note = "use `copy_from_device::<u8>` instead")]
-    pub fn read_bytes(&self, handle: MemHandle, out: &mut [u8]) -> Result<()> {
-        self.copy_from_device(handle, out)
-    }
-
-    /// Copies u16 elements host → device.
-    ///
-    /// # Errors
-    ///
-    /// Fails on stale handles or size overruns.
-    #[deprecated(since = "0.2.0", note = "use `copy_to_device::<u16>` instead")]
-    pub fn write_u16s(&mut self, handle: MemHandle, data: &[u16]) -> Result<()> {
-        self.copy_to_device(handle, data)
-    }
-
-    /// Copies u16 elements device → host.
-    ///
-    /// # Errors
-    ///
-    /// Fails on stale handles or size overruns.
-    #[deprecated(since = "0.2.0", note = "use `copy_from_device::<u16>` instead")]
-    pub fn read_u16s(&self, handle: MemHandle, out: &mut [u16]) -> Result<()> {
-        self.copy_from_device(handle, out)
     }
 
     /// Device DRAM capacity and live bytes, for capacity planning.
@@ -707,23 +665,6 @@ mod tests {
         assert_eq!(out, vals);
         // Oversized transfers are still rejected.
         assert!(dev.copy_to_device(h, &[0i64; 7]).is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_copy_wrappers_still_work() {
-        let mut dev = ApuDevice::new(SimConfig::default().with_l4_bytes(1 << 20));
-        let h = dev.alloc_u16(4).unwrap();
-        dev.write_u16s(h, &[10, 20, 30, 40]).unwrap();
-        let mut out = vec![0u16; 4];
-        dev.read_u16s(h, &mut out).unwrap();
-        assert_eq!(out, vec![10, 20, 30, 40]);
-
-        let hb = dev.alloc(4).unwrap();
-        dev.write_bytes(hb, &[1, 2, 3, 4]).unwrap();
-        let mut bytes = [0u8; 4];
-        dev.read_bytes(hb, &mut bytes).unwrap();
-        assert_eq!(bytes, [1, 2, 3, 4]);
     }
 
     #[test]

@@ -18,8 +18,6 @@
 //! matching the read-before-wait hazard of the real device. Every issue
 //! returns a [`DmaTicket`] the caller must consume.
 
-use serde::{Deserialize, Serialize};
-
 use crate::clock::Cycles;
 use crate::core::CycleClass;
 use crate::core::{ApuCore, Vmr};
@@ -84,7 +82,7 @@ pub(crate) fn flush_pending(core: &mut ApuCore, l4: &mut Dram) {
 ///
 /// Returned by the `*_async` transfer methods; consume it with
 /// [`ApuContext::dma_wait`] before using the destination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[must_use = "wait on the ticket before using the transfer's destination"]
 pub struct DmaTicket {
     /// Engine the transfer was booked on (0 or 1).

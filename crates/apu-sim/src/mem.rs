@@ -6,8 +6,6 @@
 //! module provides the equivalent: a bump-with-free-list allocator over a
 //! flat byte array, handing out opaque [`MemHandle`]s.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::Error;
 use crate::Result;
 
@@ -21,7 +19,7 @@ pub const ALLOC_ALIGN: usize = 512;
 /// obtains them from [`crate::ApuDevice::alloc`] and passes them to device
 /// kernels through task arguments. [`MemHandle::offset_by`] derives a
 /// sub-handle at a byte offset, like pointer arithmetic on the C side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemHandle {
     /// Byte offset within device DRAM.
     offset: usize,

@@ -19,8 +19,6 @@
 //! repository only use the GHL for "any column set?" style queries, for
 //! which the granularities coincide.
 
-use serde::{Deserialize, Serialize};
-
 /// Selects which of the 16 bit-slices a micro-operation applies to.
 ///
 /// Bit `b` set means slice `b` (the `b`-th bit of every element)
@@ -32,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(SliceMask::single(3).bits(), 0b1000);
 /// assert!(SliceMask::single(3).contains(3));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SliceMask(u16);
 
 impl SliceMask {
@@ -89,7 +87,7 @@ impl Default for SliceMask {
 }
 
 /// Boolean operations supported by the bit-processor read logic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BitOp {
     /// Wired-AND.
     And,
@@ -111,7 +109,7 @@ impl BitOp {
 }
 
 /// Latch sources readable by a bit processor (the `L` of Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LatchSrc {
     /// Global horizontal latch (one bit per slice, OR-combined on load).
     Ghl,
@@ -128,7 +126,7 @@ pub enum LatchSrc {
 }
 
 /// Sources the write logic can drive into the SRAM cells.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WriteSrc {
     /// Write bit-line driven from RL (WBL).
     Rl,
@@ -144,7 +142,7 @@ pub enum WriteSrc {
 ///
 /// `vrs` lists source VR indices; a multi-operand read wired-ANDs the
 /// bit-lines, exactly as on the device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MicroOp {
     /// `RL = VR[vrs0]` / `RL = VR[vrs0, vrs1]` (multi-read is an AND).
     ReadVr {

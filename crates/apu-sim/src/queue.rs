@@ -76,7 +76,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
 use crate::clock::Cycles;
-use crate::device::{ApuContext, ApuDevice, TaskReport};
+use crate::device::{ApuDevice, TaskReport};
 use crate::error::Error;
 use crate::spec::{AdmissionControl, SchedPolicy, TaskSpec, TenantId};
 use crate::stats::{LatencyReservoir, StageBreakdown, VcuStats, DEFAULT_RESERVOIR_CAP};
@@ -90,9 +90,7 @@ pub use crate::stats::{percentile, QueueStats};
 const VT_SCALE: u128 = 1_000_000;
 
 /// Dispatch priority of a queued task. Lower discriminant = served first.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Priority {
     /// Latency-sensitive foreground work (interactive queries).
     High,
@@ -114,11 +112,11 @@ impl TaskHandle {
     }
 }
 
-/// Batch-compatibility class of a [`DeviceQueue::submit_batchable`]
-/// submission: jobs may be coalesced into one device dispatch only when
-/// they share a key (and a [`Priority`]). Producers derive the key from
-/// whatever makes dispatches fungible — e.g. the RAG layer keys on the
-/// corpus and `k` so only same-corpus retrievals ever share a batch.
+/// Batch-compatibility class of a [`TaskSpec::batch`] submission: jobs
+/// may be coalesced into one device dispatch only when they share a key
+/// (and a [`Priority`]). Producers derive the key from whatever makes
+/// dispatches fungible — e.g. the RAG layer keys on the corpus shard,
+/// snapshot and `k` so only same-snapshot retrievals ever share a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BatchKey(u64);
 
@@ -317,7 +315,7 @@ pub struct Completion {
     /// Retire time (`started_at` + service).
     pub finished_at: Duration,
     /// Logical tasks the carrying dispatch coalesced (1 when unbatched;
-    /// the declared weight for `submit_weighted` jobs).
+    /// the declared [`TaskSpec::weight`] for weighted jobs).
     pub batch_size: usize,
     /// Sequence number of the device dispatch that carried this task —
     /// batch members share it, so it identifies who rode together.
@@ -325,7 +323,7 @@ pub struct Completion {
     /// shed, or failed at the dispatch gate).
     pub dispatch: Option<u64>,
     /// Batch-compatibility key, for tasks submitted via
-    /// [`DeviceQueue::submit_batchable`].
+    /// [`TaskSpec::batch`].
     pub batch_key: Option<BatchKey>,
     /// Dispatch attempts this task consumed (> 1 after retries; a shed
     /// task reports the attempts made before its deadline passed).
@@ -658,147 +656,6 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             deadline: deadline_cycles,
         });
         Ok(handle)
-    }
-
-    /// Submits a job with an explicit arrival time on the virtual
-    /// timeline.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::QueueFull`] when the backlog bound is hit.
-    #[deprecated(since = "0.6.0", note = "build a `TaskSpec` and call `submit(spec)`")]
-    pub fn submit_at(
-        &mut self,
-        priority: Priority,
-        arrival: Duration,
-        job: Job<'t>,
-    ) -> Result<TaskHandle> {
-        self.submit(TaskSpec::job(job).priority(priority).at(arrival))
-    }
-
-    /// Submits a *batch* job folding `weight` logical tasks into one
-    /// dispatch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::QueueFull`] when the backlog bound is hit, or
-    /// [`Error::InvalidArg`] for a zero weight.
-    #[deprecated(since = "0.6.0", note = "build a `TaskSpec` and call `submit(spec)`")]
-    pub fn submit_weighted(
-        &mut self,
-        priority: Priority,
-        arrival: Duration,
-        weight: u64,
-        job: Job<'t>,
-    ) -> Result<TaskHandle> {
-        self.submit(
-            TaskSpec::job(job)
-                .priority(priority)
-                .at(arrival)
-                .weight(weight),
-        )
-    }
-
-    /// Submits a job with a time-to-live (see [`TaskSpec::ttl`] for the
-    /// shedding semantics).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::QueueFull`] when the backlog bound is hit.
-    #[deprecated(since = "0.6.0", note = "build a `TaskSpec` and call `submit(spec)`")]
-    pub fn submit_with_ttl(
-        &mut self,
-        priority: Priority,
-        arrival: Duration,
-        ttl: Duration,
-        job: Job<'t>,
-    ) -> Result<TaskHandle> {
-        self.submit(TaskSpec::job(job).priority(priority).at(arrival).ttl(ttl))
-    }
-
-    /// Submits a job eligible for **continuous batching** (see
-    /// [`TaskSpec::batch`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::QueueFull`] when the backlog bound is hit.
-    #[deprecated(since = "0.6.0", note = "build a `TaskSpec` and call `submit(spec)`")]
-    pub fn submit_batchable(
-        &mut self,
-        priority: Priority,
-        arrival: Duration,
-        key: BatchKey,
-        payload: Box<dyn Any>,
-        run: BatchRunner<'t>,
-    ) -> Result<TaskHandle> {
-        self.submit(
-            TaskSpec::batch(key, payload, run)
-                .priority(priority)
-                .at(arrival),
-        )
-    }
-
-    /// [`TaskSpec::batch`] with a time-to-live.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::QueueFull`] when the backlog bound is hit.
-    #[deprecated(since = "0.6.0", note = "build a `TaskSpec` and call `submit(spec)`")]
-    pub fn submit_batchable_with_ttl(
-        &mut self,
-        priority: Priority,
-        arrival: Duration,
-        ttl: Duration,
-        key: BatchKey,
-        payload: Box<dyn Any>,
-        run: BatchRunner<'t>,
-    ) -> Result<TaskHandle> {
-        self.submit(
-            TaskSpec::batch(key, payload, run)
-                .priority(priority)
-                .at(arrival)
-                .ttl(ttl),
-        )
-    }
-
-    /// Convenience: submits a single-core kernel arriving now, with unit
-    /// output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::QueueFull`] when the backlog bound is hit.
-    #[deprecated(
-        since = "0.6.0",
-        note = "build a `TaskSpec::kernel` and call `submit(spec)`"
-    )]
-    pub fn submit_kernel<F>(&mut self, priority: Priority, kernel: F) -> Result<TaskHandle>
-    where
-        F: FnOnce(&mut ApuContext<'_>) -> Result<()> + 't,
-    {
-        self.submit(TaskSpec::kernel(kernel).priority(priority))
-    }
-
-    /// Convenience: submits a job with a typed output, boxing it for the
-    /// [`Completion`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::QueueFull`] when the backlog bound is hit.
-    #[deprecated(
-        since = "0.6.0",
-        note = "build a `TaskSpec::typed` and call `submit(spec)`"
-    )]
-    pub fn submit_job<T, F>(
-        &mut self,
-        priority: Priority,
-        arrival: Duration,
-        job: F,
-    ) -> Result<TaskHandle>
-    where
-        T: Any,
-        F: FnOnce(&mut ApuDevice) -> Result<(TaskReport, T)> + 't,
-    {
-        self.submit(TaskSpec::typed(job).priority(priority).at(arrival))
     }
 
     /// Index (into `pending`) of the next task to dispatch. Under
@@ -1681,6 +1538,7 @@ impl<'d, 't> DeviceQueue<'d, 't> {
 mod tests {
     use super::*;
     use crate::config::SimConfig;
+    use crate::device::ApuContext;
     use crate::timing::VecOp;
 
     fn device() -> ApuDevice {

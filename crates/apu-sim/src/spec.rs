@@ -40,8 +40,6 @@
 use std::any::Any;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::{ApuContext, ApuDevice, TaskReport};
 use crate::queue::{BatchKey, BatchRunner, Job, Priority, Work};
 use crate::Result;
@@ -50,9 +48,7 @@ use crate::Result;
 /// submitted on behalf of. Tenants are the unit of weighted fair-share
 /// scheduling and of the per-tenant counters in
 /// [`crate::QueueStats::per_tenant`]. The default tenant is `0`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TenantId(u64);
 
 impl TenantId {
@@ -68,7 +64,7 @@ impl TenantId {
 }
 
 /// Dispatch-ordering policy of a [`crate::DeviceQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedPolicy {
     /// The historical scheduler: among eligible tasks the highest
     /// [`Priority`] wins, FIFO within a class. The default; byte-exact
@@ -92,7 +88,7 @@ pub enum SchedPolicy {
 /// too. High-priority work is never admission-shed. Shed tasks retire as
 /// `Failed(`[`crate::Error::AdmissionShed`]`)` without dispatching and
 /// are counted in [`crate::QueueStats::shed_admission`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionControl {
     /// Backlog size above which Low-priority pending work is shed.
     pub shed_low_above: usize,
@@ -302,5 +298,56 @@ mod tests {
         let adm = AdmissionControl::new(8, 2);
         assert_eq!(adm.shed_low_above, 8);
         assert_eq!(adm.shed_normal_above, 8);
+    }
+
+    /// Every (weight, TTL, batchable) combination is expressible through
+    /// one builder chain — combinations the pre-0.6.0 `submit_*` method
+    /// family had no method for.
+    #[test]
+    fn builder_expresses_combinations_the_shim_family_could_not() {
+        use crate::{ApuDevice, DeviceQueue, QueueConfig, SimConfig, VecOp};
+
+        let us = Duration::from_micros;
+        let mut dev = ApuDevice::new(SimConfig::default().with_l4_bytes(1 << 20));
+        let mut q = DeviceQueue::new(&mut dev, QueueConfig::default().with_max_batch(8));
+        let echo: BatchRunner<'_> = Box::new(|dev: &mut ApuDevice, payloads: Vec<Box<dyn Any>>| {
+            let report = dev.run_task(|ctx| {
+                ctx.core_mut().charge(VecOp::MulS16);
+                Ok(())
+            })?;
+            Ok((report, payloads.into_iter().map(Ok).collect()))
+        });
+        // Weighted + TTL + batchable: no pre-0.6.0 variant took all three.
+        q.submit(
+            TaskSpec::batch(BatchKey::new(2), Box::new(0u32), echo)
+                .priority(Priority::Low)
+                .at(us(1))
+                .weight(5)
+                .ttl(Duration::from_millis(80)),
+        )
+        .unwrap();
+        // Weighted + TTL single job: also previously inexpressible.
+        let job: Job<'_> = Box::new(|dev: &mut ApuDevice| {
+            let r = dev.run_task(|ctx| {
+                ctx.core_mut().charge(VecOp::AddU16);
+                Ok(())
+            })?;
+            Ok((r, Box::new(()) as Box<dyn Any>))
+        });
+        q.submit(
+            TaskSpec::job(job)
+                .at(us(2))
+                .weight(2)
+                .ttl(Duration::from_millis(80)),
+        )
+        .unwrap();
+        let done = q.drain().unwrap();
+        assert_eq!(done.len(), 2);
+        assert!(done.iter().all(|c| c.is_ok()));
+        let s = q.stats();
+        // Batch-weight semantics: the batchable task carries weight 5, the
+        // single task weight 2.
+        assert_eq!(s.dispatched_tasks, 7);
+        assert_eq!(s.max_batch_size, 5);
     }
 }

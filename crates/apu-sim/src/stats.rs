@@ -12,8 +12,6 @@ use std::collections::BTreeMap;
 use std::ops::Sub;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use crate::core::CycleClass;
 use crate::timing::VecOp;
 
@@ -21,7 +19,7 @@ use crate::timing::VecOp;
 ///
 /// Obtained from [`crate::ApuCore::stats`]; task-scoped deltas are
 /// reported in [`crate::TaskReport`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VcuStats {
     /// Vector commands issued (GVML-level calls).
     pub commands: u64,
@@ -333,7 +331,7 @@ pub fn stage_split(service: Duration, stats: &VcuStats) -> (Duration, Duration, 
 /// conventions as the queue-wide block: the wait/latency/stage
 /// accumulators cover **successful** completions only, while shed and
 /// failed work is visible through its own counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TenantStats {
     /// Tasks this tenant submitted (accepted by admission).
     pub submitted: u64,
@@ -398,8 +396,7 @@ impl TenantStats {
 /// Aggregate serving statistics of a [`crate::DeviceQueue`]: admission,
 /// dispatch, batching, shedding, and latency counters, plus per-tenant
 /// slices. Comparable with `==` (the reservoir compares its retained
-/// samples), which the API-compat tests use to prove the deprecated
-/// `submit_*` shims and the [`crate::TaskSpec`] path book identically.
+/// samples), so two runs' bookings can be compared whole.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueueStats {
     /// Tasks accepted by `submit`.
@@ -418,14 +415,14 @@ pub struct QueueStats {
     pub shed_admission: u64,
     /// Re-dispatch attempts made by the bounded retry policy.
     pub retries: u64,
-    /// Multi-query batch jobs dispatched (see `submit_weighted`).
+    /// Multi-query batch jobs dispatched (see [`crate::TaskSpec::weight`]).
     pub batches: u64,
     /// Logical tasks folded into those batch jobs.
     pub batched_tasks: u64,
     /// Device dispatches issued; a coalesced batch counts once.
     pub dispatches: u64,
     /// Logical tasks carried by those dispatches (batch members, plus
-    /// the declared weight of `submit_weighted` jobs).
+    /// the declared weight of weighted jobs).
     pub dispatched_tasks: u64,
     /// Largest batch the continuous-batching dispatcher coalesced.
     pub max_batch_size: u64,

@@ -12,15 +12,13 @@
 //! that the paper's analytical framework deliberately omits; they are the
 //! source of the small measured-vs-predicted error in Table 7.
 
-use serde::{Deserialize, Serialize};
-
 use crate::clock::Cycles;
 
 /// Identifier for every fixed-latency vector operation of the paper's
 /// Table 5 plus the constant-latency data-movement primitives of Table 4.
 ///
 /// Variant names follow the paper's operation mnemonics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)] // the mnemonic-to-description mapping lives in `describe`
 pub enum VecOp {
     And16,
@@ -181,7 +179,7 @@ impl VecOp {
 /// let t = DeviceTiming::leda_e().with_offchip_bw_scale(2.0);
 /// assert!(t.dma_l4_l2(65536) < DeviceTiming::leda_e().dma_l4_l2(65536));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceTiming {
     // ---- Table 5: computation (cycles per 32K-element vector command) ----
     /// `and_16`.

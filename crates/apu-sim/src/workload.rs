@@ -36,13 +36,11 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use crate::queue::Priority;
 use crate::spec::TenantId;
 
 /// The arrival process of one tenant's open-loop request stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Memoryless arrivals at a constant mean rate (exponential
     /// inter-arrival gaps).
@@ -86,7 +84,7 @@ pub enum ArrivalProcess {
 
 /// One tenant's contribution to a [`TrafficSpec`]: an arrival process
 /// plus the scheduling attributes every generated arrival carries.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantTraffic {
     /// The submitting tenant.
     pub tenant: TenantId,
@@ -137,7 +135,7 @@ impl TenantTraffic {
 
 /// A multi-tenant traffic description; see the
 /// [module documentation](self).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TrafficSpec {
     /// One arrival stream per tenant.
     pub tenants: Vec<TenantTraffic>,
@@ -228,7 +226,7 @@ impl ArrivalProcess {
 /// be scheduled. Feed into [`crate::TaskSpec`] via
 /// [`crate::TaskSpec::at`] / [`crate::TaskSpec::tenant`] /
 /// [`crate::TaskSpec::deadline_at`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArrivalEvent {
     /// Arrival time on the virtual timeline.
     pub at: Duration,
@@ -243,7 +241,7 @@ pub struct ArrivalEvent {
 }
 
 /// A generated, replayable arrival trace, sorted by arrival time.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WorkloadTrace {
     /// The arrivals, sorted by `(at, tenant)`.
     pub events: Vec<ArrivalEvent>,
@@ -419,13 +417,5 @@ mod tests {
         )]);
         let trace = spec.generate(1, Duration::from_secs(1));
         assert!(trace.events.is_empty());
-    }
-
-    #[test]
-    fn specs_and_traces_are_serde() {
-        fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-        assert_serde::<TrafficSpec>();
-        assert_serde::<WorkloadTrace>();
-        assert_serde::<ArrivalProcess>();
     }
 }

@@ -3,7 +3,7 @@
 //! the default low-priority compaction against compaction submitted at
 //! the queries' own (interactive) priority.
 //!
-//! A [`rag::ShardedRagServer::new_mutable`] cluster serves periodic
+//! A [`rag::ShardedRagServer`] cluster serves periodic
 //! bursts of interactive queries. Between bursts a scripted churn
 //! stream (fixed inserts + deletes, identical in both arms) mutates the
 //! corpus, so every burst pins a fresh snapshot and delta segments
@@ -331,7 +331,7 @@ fn run_arm(
         ..ServeConfig::default()
     };
     let mut server =
-        ShardedRagServer::new_mutable(store, shards, sim(), cfg).expect("cluster construction");
+        ShardedRagServer::new(store, shards, sim(), cfg).expect("cluster construction");
     let mut next_delete = 0u32;
     let mut qi = 0usize;
     for b in 0..bursts {

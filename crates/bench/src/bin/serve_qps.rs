@@ -1,6 +1,7 @@
 //! Serving study: sustained throughput vs. tail latency for an
 //! open-loop Poisson query stream served through the device command
-//! queue ([`rag::RagServer`], all-opts retrieval kernel, timing-only).
+//! queue ([`rag::ShardedRagServer`], all-opts retrieval kernel,
+//! timing-only).
 //!
 //! Each offered rate submits a seeded Poisson arrival stream; the server
 //! groups arrivals into VR-limited batches and dispatches them through

@@ -17,7 +17,6 @@ use apu_sim::dma::ChunkCopy;
 use apu_sim::{ApuContext, ApuDevice, Cycles, Error, MemHandle, TaskReport, Vmr, Vr};
 use cis_core::MatmulVariant;
 use gvml::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::pack::BinMatrix;
 use crate::Result;
@@ -38,7 +37,7 @@ const VMR_B: Vmr = Vmr::new(46);
 const VMR_POOL: u8 = 40;
 
 /// Per-stage latency split, matching the Fig. 12 legend.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageBreakdown {
     /// Loading the LHS matrix (DMA/PIO/lookup + duplication).
     pub ld_lhs: Cycles,

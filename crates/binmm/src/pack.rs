@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Bits packed per word.
 pub const WORD_BITS: usize = 16;
@@ -10,7 +9,7 @@ pub const WORD_BITS: usize = 16;
 /// A binary matrix of ±1 values, bit-packed along the column (reduction)
 /// axis: bit 1 encodes +1, bit 0 encodes −1. Row `i` occupies
 /// `words_per_row()` consecutive `u16` words.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BinMatrix {
     rows: usize,
     cols_bits: usize,

@@ -12,14 +12,12 @@
 //! 2. materializes any required duplication *on-chip* with subgroup
 //!    copies from a "reuse VR" instead of re-fetching from L4.
 
-use serde::{Deserialize, Serialize};
-
 use apu_sim::dma::ChunkCopy;
 use apu_sim::VecOp;
 use cis_model::ModelParams;
 
 /// One logical row the kernel needs in the vector register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowTransfer {
     /// Byte offset of the row in the source (L4) region.
     pub src_off: usize,
@@ -30,7 +28,7 @@ pub struct RowTransfer {
 }
 
 /// A coalescing plan: the merged chunk list plus duplication work.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoalescePlan {
     /// Programmed chunks for one DMA transaction.
     pub chunks: Vec<(usize, usize, usize)>, // (src_off, dst_off, bytes)

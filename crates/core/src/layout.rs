@@ -20,15 +20,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// One logical dimension: possibly-decomposed size and stride.
 ///
 /// A simple dimension has one factor; a decomposed dimension has an
 /// (outer, inner) factor pair, where the logical index `i` splits as
 /// `i = outer_idx * inner_size + inner_idx` and the linear offset
 /// contribution is `outer_idx * outer_stride + inner_idx * inner_stride`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dim {
     sizes: Vec<usize>,
     strides: Vec<usize>,
@@ -97,7 +95,7 @@ impl fmt::Display for Dim {
 
 /// A multi-dimensional layout: logical dims (outermost first) mapping to
 /// linear element offsets.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Layout {
     dims: Vec<Dim>,
 }

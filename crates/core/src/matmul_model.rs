@@ -19,13 +19,11 @@
 //! paper's measured 226.3 ms (dominated by the PIO result write-back) and
 //! the all-opts variant in the low milliseconds (paper: 12.0 ms).
 
-use serde::{Deserialize, Serialize};
-
 use apu_sim::VecOp;
 use cis_model::ModelParams;
 
 /// Problem shape for the binary matmul.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatmulShape {
     /// Rows of A / C.
     pub m: usize,
@@ -58,7 +56,7 @@ impl MatmulShape {
 
 /// The optimization configuration being modeled (Fig. 12/13 convention:
 /// each optimization standalone, plus all three).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MatmulVariant {
     /// Inner-product algorithm with spatial reduction (Fig. 7).
     Baseline,
@@ -101,7 +99,7 @@ impl MatmulVariant {
 }
 
 /// Per-stage cost breakdown in cycles, matching the Fig. 12 stages.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatmulCost {
     /// LHS (A) load cycles.
     pub t_a: f64,

@@ -14,13 +14,11 @@
 //! [`recommend_mapping`] compares both costs under the analytical
 //! framework and picks the cheaper one.
 
-use serde::{Deserialize, Serialize};
-
 use apu_sim::VecOp;
 use cis_model::ModelParams;
 
 /// How a reduction axis is mapped onto the vector register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReductionMapping {
     /// Reduction elements laid out across the VR; reduced with intra-VR
     /// subgroup operations.

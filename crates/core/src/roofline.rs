@@ -6,12 +6,10 @@
 //! operational intensity (ops per byte of off-chip traffic) against the
 //! compute roof and the off-chip bandwidth diagonal.
 
-use serde::{Deserialize, Serialize};
-
 use cis_model::ModelParams;
 
 /// A device roofline: compute roof and memory-bandwidth diagonal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Roofline {
     /// Peak throughput in giga-ops per second (the compute roof).
     pub peak_gops: f64,
@@ -64,7 +62,7 @@ impl Roofline {
 }
 
 /// One kernel placed on the roofline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RooflinePoint {
     /// Kernel name.
     pub name: String,

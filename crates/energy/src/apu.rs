@@ -1,14 +1,12 @@
 //! APU rail-level energy model.
 
-use serde::{Deserialize, Serialize};
-
 use apu_sim::{Frequency, TaskReport};
 
 /// Power/energy constants for the APU board.
 ///
 /// Defaults are calibrated against the paper's Fig. 15 energy breakdown
 /// (static-dominated) under the 60 W TDP budget of the Leda-E.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApuPowerModel {
     /// Always-on static power of the four cores + control (watts).
     pub static_w: f64,
@@ -66,7 +64,7 @@ impl Default for ApuPowerModel {
 }
 
 /// Task energy split by rail, in joules (the paper's Fig. 15 categories).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ApuEnergyBreakdown {
     /// Static (leakage + always-on) energy.
     pub static_j: f64,

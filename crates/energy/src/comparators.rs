@@ -5,10 +5,8 @@
 //! board telemetry. These models reproduce that methodology: average
 //! draw × busy time, with an idle floor for the duty-cycled case.
 
-use serde::{Deserialize, Serialize};
-
 /// GPU board power model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuPowerModel {
     /// Device name (for reports).
     pub name: String,
@@ -44,7 +42,7 @@ impl GpuPowerModel {
 }
 
 /// CPU socket power model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuPowerModel {
     /// Device name (for reports).
     pub name: String,

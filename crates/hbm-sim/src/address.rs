@@ -5,12 +5,10 @@
 //! then bank group / bank (so sequential streams rotate across channels
 //! and banks before reusing a row), then column, rank, and row.
 
-use serde::{Deserialize, Serialize};
-
 use crate::spec::DramSpec;
 
 /// A decoded physical address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DecodedAddr {
     /// Channel index.
     pub channel: usize,

@@ -6,13 +6,11 @@
 //! (~3.9 pJ/bit end-to-end when streaming) and DDR4 (~13 pJ/bit), in the
 //! same spirit as DRAMPower's IDD-derived parameters.
 
-use serde::{Deserialize, Serialize};
-
 use crate::spec::DramSpec;
 use crate::system::SystemStats;
 
 /// Per-command and background energy constants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyParams {
     /// Energy of one ACT+PRE pair, in nanojoules.
     pub act_pre_nj: f64,
@@ -60,7 +58,7 @@ impl EnergyParams {
 }
 
 /// An energy breakdown in joules.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DramEnergy {
     /// Row activation/precharge energy.
     pub activate_j: f64,

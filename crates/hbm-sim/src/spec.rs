@@ -1,12 +1,10 @@
 //! DRAM device specifications and timing parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// A DRAM configuration: topology plus timing in memory-clock cycles.
 ///
 /// Presets: [`DramSpec::hbm2e_16gb`] (the paper's simulated RAG memory)
 /// and [`DramSpec::ddr4_apu`] (the APU's native device DRAM).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DramSpec {
     /// Human-readable name.
     pub name: String,

@@ -2,13 +2,11 @@
 //! state, per-channel data buses, and per-rank activation windows and
 //! refresh.
 
-use serde::{Deserialize, Serialize};
-
 use crate::address::AddressMap;
 use crate::spec::DramSpec;
 
 /// Read or write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// DRAM read.
     Read,
@@ -38,7 +36,7 @@ struct RankState {
 }
 
 /// Aggregate command statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SystemStats {
     /// Row activations issued.
     pub activates: u64,
@@ -67,7 +65,7 @@ impl SystemStats {
 }
 
 /// Result of a streamed transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamResult {
     /// Bytes moved.
     pub bytes: u64,

@@ -8,15 +8,13 @@
 //! parameters" contribution of the paper (§1), used to inform
 //! next-generation in-SRAM architectures.
 
-use serde::{Deserialize, Serialize};
-
 use apu_sim::{DeviceTiming, Frequency};
 
 use crate::estimator::LatencyEstimator;
 use crate::params::ModelParams;
 
 /// One candidate device in a sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignPoint {
     /// Off-chip bandwidth multiplier (1.0 = Leda-E DDR).
     pub bw_scale: f64,

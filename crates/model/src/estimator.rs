@@ -9,14 +9,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use apu_sim::VecOp;
 
 use crate::params::ModelParams;
 
 /// One abstract operation in a modeled program.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceOp {
     /// Fixed-latency vector command.
     Op(VecOp),
@@ -93,7 +91,7 @@ impl TraceOp {
 }
 
 /// Evaluated latency report with per-section and per-category breakdowns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyReport {
     /// Total predicted cycles.
     pub total_cycles: f64,

@@ -7,14 +7,12 @@
 //! (§5.2.2: "the primary source of error arises from the model's
 //! inability to account for memory subsystem details").
 
-use serde::{Deserialize, Serialize};
-
 use apu_sim::{DeviceTiming, Frequency, VecOp};
 
 use crate::reduction::SgAddModel;
 
 /// Analytical device parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelParams {
     /// Fixed-latency operation costs (cycles), as in Tables 4–5.
     pub timing: DeviceTiming,

@@ -13,8 +13,6 @@
 //! staged-reduction cost ([`gvml::reduce::sg_add_cycles`]) over the full
 //! (r, s) power-of-two grid.
 
-use serde::{Deserialize, Serialize};
-
 use apu_sim::DeviceTiming;
 
 /// Grid of group sizes used for fitting (powers of two up to 4096, the
@@ -69,7 +67,7 @@ fn least_squares(a: &[f64], b: &[f64], cols: usize) -> Vec<f64> {
 }
 
 /// Fitted Eq. 1 coefficients.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SgAddModel {
     /// αᵢ for i = 0..4: slope of pᵢ in `log₂ r`.
     pub alpha: [f64; 4],

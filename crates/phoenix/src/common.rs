@@ -5,7 +5,6 @@
 use apu_sim::{ApuContext, ApuDevice, CoreTask, TaskReport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::Result;
 
@@ -17,7 +16,7 @@ use crate::Result;
 /// assert_eq!(OptConfig::only_opt1().label(), "opt1");
 /// assert!(OptConfig::none().is_baseline());
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct OptConfig {
     /// Opt1 — communication-aware reduction mapping (§4.2).
     pub reduction_mapping: bool,

@@ -25,7 +25,6 @@ use gvml::prelude::*;
 use gvml::shift::ShiftDir;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::common::{map_reduce, parallel_tiles, OptConfig};
 use crate::Result;
@@ -41,7 +40,7 @@ const FLUSH_PACKED: usize = 20;
 const NSTATS: usize = 5;
 
 /// Accumulated sums (exact, 64-bit).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinRegStats {
     /// Number of points.
     pub n: u64,

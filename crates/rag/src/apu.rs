@@ -24,7 +24,6 @@
 use apu_sim::{ApuContext, ApuDevice, CoreTask, Cycles, Error, TaskReport, Vmr, Vr};
 use gvml::prelude::*;
 use hbm_sim::MemorySystem;
-use serde::{Deserialize, Serialize};
 
 use crate::corpus::{EmbeddingStore, EMBED_DIM};
 use crate::cpu::top_k;
@@ -51,7 +50,7 @@ const VR_CONST: Vr = Vr::new(10);
 const M0: Marker = Marker::new(0);
 
 /// The Fig. 14 optimization variants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RagVariant {
     /// Spatial mapping, no optimizations.
     NoOpt,
@@ -100,7 +99,7 @@ impl RagVariant {
 }
 
 /// Per-stage retrieval latency (the paper's Table 8 rows).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RetrievalBreakdown {
     /// Embedding stream from the simulated HBM2e (ms).
     pub load_embedding_ms: f64,

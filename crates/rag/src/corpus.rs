@@ -12,7 +12,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Embedding dimensionality (the paper's 120 MB / 163 K chunks ≈ 2-byte
 /// 384-dim vectors).
@@ -23,7 +22,7 @@ pub const CHUNK_TOKENS: usize = 16_384;
 pub const EMBED_MAX: i16 = 6;
 
 /// A corpus size point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorpusSpec {
     /// Nominal corpus size in bytes (the paper's 10/50/200 GB axis).
     pub corpus_bytes: u64,

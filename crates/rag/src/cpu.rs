@@ -15,8 +15,6 @@
 
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
-
 use crate::corpus::{EmbeddingStore, EMBED_DIM};
 use crate::Hit;
 
@@ -79,7 +77,7 @@ pub fn cpu_retrieve(
 }
 
 /// Calibrated Xeon Gold 6230R retrieval latency model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuRetrievalModel {
     /// Effective embedding-scan throughput in GB/s. FAISS flat IP at
     /// batch size 1 on the 26-core part lands far below memory bandwidth;

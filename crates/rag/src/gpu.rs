@@ -10,12 +10,10 @@
 //! which imply a far lower batch-1 service throughput than the raw
 //! kernel bandwidth; the calibration is documented on each constant.
 
-use serde::{Deserialize, Serialize};
-
 use cis_energy::GpuPowerModel;
 
 /// A6000 retrieval model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuRetrievalModel {
     /// Effective kernel scan bandwidth in GB/s (A6000 HBM ≈ 768 GB/s,
     /// flat-IP kernels reach ~80%).
@@ -68,7 +66,7 @@ impl Default for GpuRetrievalModel {
 /// generation GPU. The generation stage is identical across retrieval
 /// platforms, so a single analytical term preserves every end-to-end
 /// ratio.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GenerationModel {
     /// Model parameters (8 B for Llama-3.1-8B).
     pub params: f64,

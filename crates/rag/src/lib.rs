@@ -33,10 +33,7 @@ pub mod serve;
 pub mod topk;
 
 pub use apu::{ApuRetriever, RagVariant, RetrievalBreakdown};
-pub use batch::{
-    retrieval_batch_key, retrieval_batch_key_for, retrieve_batch, run_boxed_batch,
-    run_boxed_batch_at, BatchResult, MAX_BATCH,
-};
+pub use batch::{retrieve_batch, BatchResult, MAX_BATCH};
 pub use corpus::{ClusteredCorpus, CorpusShard, CorpusSpec, EmbeddingStore};
 pub use cpu::{cpu_model_retrieval_ms, cpu_retrieve, CpuRetrievalModel};
 pub use gpu::{GenerationModel, GpuRetrievalModel};
@@ -47,7 +44,7 @@ pub use mutable::{
 };
 pub use pipeline::{EndToEnd, Platform, RagPipeline};
 pub use serve::{
-    QueryCompletion, QuerySpec, QueryTicket, RagServer, ReplicaStats, ServeConfig, ServeReport,
+    QueryCompletion, QuerySpec, QueryTicket, ReplicaStats, ServeConfig, ServeReport,
     ShardedRagServer,
 };
 pub use topk::{drop_tombstoned, merge_top_k, offset_hits, top_k};

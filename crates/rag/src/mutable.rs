@@ -41,13 +41,13 @@
 
 use std::any::Any;
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::ops::{Deref, Range};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use apu_sim::core::CycleClass;
 use apu_sim::{ApuDevice, BatchKey, Cycles, Error, TaskReport};
 use hbm_sim::MemorySystem;
-use serde::{Deserialize, Serialize};
 
 use crate::batch::retrieve_batch;
 use crate::corpus::{CorpusSpec, EmbeddingStore, EMBED_DIM, EMBED_MAX};
@@ -66,18 +66,54 @@ pub struct Segment {
     /// `ids[local]` = document id of the segment's `local`-th vector.
     /// Strictly ascending (document ids are allocated monotonically and
     /// segments seal in order), so tombstone counting can binary-search.
-    pub ids: Vec<u32>,
+    pub ids: DocIds,
 }
 
 impl Segment {
     /// Documents in the segment.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.store.spec().chunks
     }
 
     /// Whether the segment holds no documents.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.len() == 0
+    }
+}
+
+/// A segment's document ids, read as a `[u32]` slice. A base segment's
+/// ids are one contiguous range, listed only when first read: a server
+/// whose corpus is never written and never searched functionally (the
+/// size-only, timing-only regime) holds no per-document list.
+#[derive(Debug, Clone)]
+pub struct DocIds {
+    range: Range<u32>,
+    list: OnceLock<Vec<u32>>,
+}
+
+impl DocIds {
+    fn range(range: Range<u32>) -> Self {
+        DocIds {
+            range,
+            list: OnceLock::new(),
+        }
+    }
+}
+
+impl From<Vec<u32>> for DocIds {
+    fn from(ids: Vec<u32>) -> Self {
+        DocIds {
+            range: 0..0,
+            list: OnceLock::from(ids),
+        }
+    }
+}
+
+impl Deref for DocIds {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        self.list.get_or_init(|| self.range.clone().collect())
     }
 }
 
@@ -119,7 +155,7 @@ impl Snapshot {
 
 /// Corpus mutation counters and gauges, exported as the `apu_corpus_*`
 /// Prometheus series by the serving layer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CorpusStats {
     /// Live (non-tombstoned) documents.
     pub live_docs: u64,
@@ -228,7 +264,7 @@ impl CompactionPlan {
         };
         Segment {
             store: store.with_epoch(self.merged_epoch),
-            ids,
+            ids: ids.into(),
         }
     }
 
@@ -276,16 +312,9 @@ impl ShardState {
         };
         self.deltas.push(Arc::new(Segment {
             store: store.with_epoch(epoch),
-            ids,
+            ids: ids.into(),
         }));
     }
-}
-
-/// Where a document lives and whether it is alive.
-#[derive(Debug, Clone, Copy)]
-struct DocState {
-    shard: u32,
-    alive: bool,
 }
 
 /// A mutable corpus: per-shard base [`EmbeddingStore`]s wrapped with
@@ -294,7 +323,14 @@ struct DocState {
 #[derive(Debug)]
 pub struct MutableCorpus {
     shards: Vec<ShardState>,
-    docs: Vec<DocState>,
+    /// Global id of each shard's first base document, then the base size:
+    /// base document `d` lives in the shard whose range holds it.
+    base_starts: Vec<u32>,
+    /// The next document id to allocate (base + inserted documents).
+    next_doc: u32,
+    /// Every document ever deleted. Kept past compaction, which retires
+    /// tombstones but never revives a document.
+    deleted: BTreeSet<u32>,
     seed: u64,
     materialized: bool,
     bytes_per_chunk: u64,
@@ -326,22 +362,19 @@ impl MutableCorpus {
             spec.corpus_bytes / spec.chunks as u64
         };
         let mut next_epoch = 1u64;
-        let mut docs = Vec::with_capacity(spec.chunks);
+        let mut base_starts: Vec<u32> = parts.iter().map(|p| p.base).collect();
+        let next_doc = parts.last().map_or(0, |p| p.range().end);
+        base_starts.push(next_doc);
         let shards = parts
             .into_iter()
-            .enumerate()
-            .map(|(s, part)| {
+            .map(|part| {
                 let range = part.range();
-                docs.extend(range.clone().map(|_| DocState {
-                    shard: s as u32,
-                    alive: true,
-                }));
                 let epoch = next_epoch;
                 next_epoch += 1;
                 ShardState {
                     base: Arc::new(Segment {
                         store: part.store.with_epoch(epoch),
-                        ids: range.collect(),
+                        ids: DocIds::range(range),
                     }),
                     deltas: Vec::new(),
                     open_ids: Vec::new(),
@@ -353,8 +386,10 @@ impl MutableCorpus {
             .collect();
         MutableCorpus {
             shards,
-            live: docs.len() as u64,
-            docs,
+            base_starts,
+            next_doc,
+            deleted: BTreeSet::new(),
+            live: u64::from(next_doc),
             seed: store.seed(),
             materialized: store.is_materialized(),
             bytes_per_chunk,
@@ -373,6 +408,17 @@ impl MutableCorpus {
     /// Shard count.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
+    }
+
+    /// The shard holding document `doc`: base documents by contiguous
+    /// range, inserted documents round-robin by id.
+    fn shard_of(&self, doc: u32) -> usize {
+        let base_end = self.base_starts[self.shards.len()];
+        if doc < base_end {
+            self.base_starts.partition_point(|&start| start <= doc) - 1
+        } else {
+            doc as usize % self.shards.len()
+        }
     }
 
     /// Live (non-tombstoned) documents.
@@ -404,18 +450,16 @@ impl MutableCorpus {
                 "insert values outside the ±{EMBED_MAX} embedding band"
             )));
         }
-        let doc = u32::try_from(self.docs.len())
-            .map_err(|_| Error::InvalidArg("document id space exhausted".into()))?;
-        let shard = doc as usize % self.shards.len();
+        let doc = self.next_doc;
+        self.next_doc = doc
+            .checked_add(1)
+            .ok_or_else(|| Error::InvalidArg("document id space exhausted".into()))?;
+        let shard = self.shard_of(doc);
         let st = &mut self.shards[shard];
         st.open_ids.push(doc);
         if self.materialized {
             st.open_data.extend_from_slice(embedding);
         }
-        self.docs.push(DocState {
-            shard: shard as u32,
-            alive: true,
-        });
         self.live += 1;
         self.inserts += 1;
         self.cached = None;
@@ -425,14 +469,10 @@ impl MutableCorpus {
     /// Deletes a document. Returns `false` (and changes nothing) if the
     /// id is unknown or already deleted.
     pub fn delete(&mut self, doc: u32) -> bool {
-        let Some(state) = self.docs.get_mut(doc as usize) else {
-            return false;
-        };
-        if !state.alive {
+        if doc >= self.next_doc || !self.deleted.insert(doc) {
             return false;
         }
-        state.alive = false;
-        let shard = state.shard as usize;
+        let shard = self.shard_of(doc);
         self.shards[shard].tombstones.insert(doc);
         self.live -= 1;
         self.deletes += 1;
@@ -666,10 +706,12 @@ pub fn flat_scan(snapshot: &Snapshot, query: &[i16], k: usize) -> Vec<Hit> {
 
 /// Batch-compatibility key for snapshot scans: two queries may share a
 /// dispatch only when they scan the same shard of the same snapshot
-/// with the same `k` and index mode. Unlike the static path's
-/// pointer-identity key, snapshot ids are stable values, so queries
-/// admitted against the same snapshot batch across drain calls while
-/// queries straddling a mutation never coalesce.
+/// with the same `k` and index mode. A flat scan and an IVF search
+/// answer different questions (exact vs approximate) with different
+/// kernels, so modes — and IVF `nlist`/`nprobe` — never coalesce.
+/// Snapshot ids are stable values, so queries admitted against the same
+/// snapshot batch across drain calls while queries straddling a
+/// mutation never coalesce.
 pub fn snapshot_batch_key(shard: usize, snapshot_id: u64, k: usize, mode: IndexMode) -> BatchKey {
     let (tag, nlist, nprobe) = match mode {
         IndexMode::Flat => (0u64, 0u64, 0u64),
@@ -700,8 +742,7 @@ fn zero_report() -> TaskReport {
     }
 }
 
-/// Type-erased snapshot-scan adapter for the device queue, the mutable
-/// counterpart of [`crate::batch::run_boxed_batch_at`]: downcasts
+/// Type-erased snapshot-scan adapter for the device queue: downcasts
 /// member payloads to query vectors, scans every segment of `shard`
 /// through the batch kernel — the base through `ivf` when given
 /// (deltas always flat) — requesting `k + tombstones_in_segment`
@@ -758,11 +799,11 @@ pub fn run_boxed_snapshot_batch(
         if chunks == 0 || k == 0 {
             continue;
         }
-        // Tombstones in this segment: ids is sorted, tomb is sorted.
-        let tomb_in = seg
-            .ids
+        // Tombstones in this segment (both lists are sorted): a lookup
+        // per tombstone, so an unwritten corpus pays nothing here.
+        let tomb_in = tomb
             .iter()
-            .filter(|id| tomb.binary_search(id).is_ok())
+            .filter(|t| seg.ids.binary_search(t).is_ok())
             .count();
         // k + tombstones candidates guarantee ≥ k live survivors (or
         // every live document when the segment is smaller than that).
@@ -916,7 +957,7 @@ mod tests {
         assert!(c.update(1, &vec_of(1)).is_err(), "update of deleted doc");
         let fresh = c.update(0, &vec_of(2)).unwrap();
         assert_eq!(fresh, 4);
-        assert!(!c.docs[0].alive);
+        assert!(c.deleted.contains(&0));
         assert_eq!(c.live_docs(), 3);
         assert!(c.insert(&vec![7i16; EMBED_DIM]).is_err(), "out of band");
         assert!(c.insert(&[0i16; 3]).is_err(), "wrong dimension");
@@ -947,7 +988,7 @@ mod tests {
         let merged = plans[0].merge();
         // Merged = base docs 0..6 minus {0, a} (doc 1's delete came
         // after the plan, so it stays physically present).
-        assert_eq!(merged.ids, vec![1, 2, 3, 4, 5]);
+        assert_eq!(*merged.ids, [1, 2, 3, 4, 5]);
         assert_eq!(merged.store.spec().chunks, 5);
         for (local, &doc) in merged.ids.iter().enumerate() {
             assert_eq!(merged.store.embedding(local), base.embedding(doc as usize));

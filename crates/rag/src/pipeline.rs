@@ -2,8 +2,6 @@
 //! independent) generation stage, with energy accounting (paper Figs.
 //! 14–15).
 
-use serde::{Deserialize, Serialize};
-
 use apu_sim::{ApuDevice, DeviceQueue, Frequency, Priority, QueueConfig, TaskReport};
 use cis_energy::{ApuPowerModel, CpuPowerModel};
 use hbm_sim::{DramEnergy, EnergyParams, MemorySystem};
@@ -21,7 +19,7 @@ use crate::{Hit, Result};
 const APU_QUERY_OVERHEAD_J: f64 = 0.1;
 
 /// Retrieval platform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Platform {
     /// Modeled Xeon Gold 6230R (FAISS flat, calibrated).
     CpuModel,
@@ -43,7 +41,7 @@ impl Platform {
 }
 
 /// One end-to-end measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EndToEnd {
     /// Platform label.
     pub platform: String,

@@ -1,29 +1,35 @@
-//! RAG serving: an online query front-end over the device command queue.
+//! RAG serving: an online query front-end over simulated device
+//! command queues.
 //!
-//! [`RagServer`] accepts retrieval queries with arrival timestamps (an
-//! open-loop stream) and submits each one **individually** through an
-//! [`apu_sim::DeviceQueue`] as a batchable task keyed by
-//! [`crate::batch::retrieval_batch_key`]. Batch formation happens in the
-//! queue's continuous-batching dispatcher: at every dispatch opportunity
-//! the scheduler coalesces up to [`ServeConfig::max_batch`] compatible
-//! queries (VR-limited to [`MAX_BATCH`]) whose arrivals fall within
-//! [`ServeConfig::batch_window`] of the head of the line, and runs them
-//! as one [`crate::batch::retrieve_batch`] kernel. The queue path returns
+//! [`ShardedRagServer`] accepts retrieval queries with arrival
+//! timestamps (an open-loop stream) and submits each one
+//! **individually** through an [`apu_sim::DeviceQueue`] as a batchable
+//! task keyed by [`crate::mutable::snapshot_batch_key`]. Batch formation
+//! happens in the queue's continuous-batching dispatcher: at every
+//! dispatch opportunity the scheduler coalesces up to
+//! [`ServeConfig::max_batch`] compatible queries (VR-limited to
+//! [`MAX_BATCH`]) whose arrivals fall within [`ServeConfig::batch_window`]
+//! of the head of the line, and runs them as one
+//! [`crate::batch::retrieve_batch`] kernel. The queue path returns
 //! *exactly* the hits the synchronous path returns; what the queue adds
 //! is realistic dispatch: queueing delay, priority, admission control,
 //! batch coalescing, and per-query latency accounting on the virtual
 //! timeline.
 //!
-//! [`ShardedRagServer`] scales the same front-end across a
-//! [`DeviceCluster`]: the corpus is split into contiguous shards
-//! ([`EmbeddingStore::shards`]), each shard gets its own simulated
-//! device + off-chip memory + command queue, every query fans out to all
-//! shards, and the per-shard top-k results are merged into the exact
-//! global top-k (shard kernels report global chunk ids, so the merge is
-//! a plain [`top_k`] over the concatenation). A faulted or shedding
-//! shard *degrades* the queries it drops — they still serve from the
-//! healthy shards, flagged via [`QueryCompletion::is_degraded`] —
-//! instead of failing them.
+//! The corpus is split into contiguous shards
+//! ([`EmbeddingStore::shards`]) held by a [`MutableCorpus`]; each shard
+//! gets its own simulated device + off-chip memory + command queue in a
+//! [`DeviceCluster`], every query fans out to all shards, and the
+//! per-shard top-k results are merged into the exact global top-k
+//! (shard kernels report global chunk ids, so the merge is a plain
+//! [`top_k`] over the concatenation). One shard is the single-device
+//! server. A faulted or shedding shard *degrades* the queries it drops —
+//! they still serve from the healthy shards, flagged via
+//! [`QueryCompletion::is_degraded`] — instead of failing them.
+//!
+//! Every server's corpus is writable. A query pins the corpus snapshot
+//! current at its admission and scans exactly that snapshot, so a
+//! corpus that is never written to serves as a static one.
 //!
 //! With [`ServeConfig::replicas`] ≥ 2 every corpus shard is held by a
 //! *replica set* of devices (an [`apu_sim::Placement`] over
@@ -45,15 +51,15 @@ use std::time::Duration;
 use apu_sim::queue::percentile;
 use apu_sim::trace::prometheus_text;
 use apu_sim::{
-    chrome_trace_json_grouped, ApuDevice, ChromeTraceSink, Completion, DeviceCluster, DeviceQueue,
-    Error, FaultPlan, Placement, Priority, QueueConfig, QueueStats, RetryPolicy, RoutePolicy,
-    SimConfig, StageBreakdown, TaskHandle, TaskSpec, TenantId, TraceEvent,
+    chrome_trace_json_grouped, ApuDevice, ChromeTraceSink, Completion, DeviceCluster, Error,
+    FaultPlan, Placement, Priority, QueueConfig, QueueStats, RetryPolicy, RoutePolicy, SimConfig,
+    StageBreakdown, TaskHandle, TaskSpec, TenantId, TraceEvent,
 };
 use hbm_sim::{DramSpec, MemorySystem};
 
-use crate::batch::{retrieval_batch_key_for, run_boxed_batch, run_boxed_batch_at, MAX_BATCH};
-use crate::corpus::{CorpusShard, EmbeddingStore};
-use crate::ivf::{run_boxed_ivf_batch_at, IndexMode, IvfIndex, IvfStats};
+use crate::batch::MAX_BATCH;
+use crate::corpus::EmbeddingStore;
+use crate::ivf::{IndexMode, IvfIndex, IvfStats};
 use crate::mutable::{
     run_boxed_snapshot_batch, run_compaction_task, snapshot_batch_key, CompactionPlan,
     CompactionTicket, CorpusStats, MutableCorpus, Segment, Snapshot,
@@ -61,7 +67,7 @@ use crate::mutable::{
 use crate::topk::top_k;
 use crate::{Hit, Result};
 
-/// Configuration of a [`RagServer`].
+/// Configuration of a [`ShardedRagServer`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Retrieved chunks per query.
@@ -83,7 +89,7 @@ pub struct ServeConfig {
     /// Bounded retry-with-backoff for transiently faulted queries.
     /// `None` disables retries.
     pub retry: Option<RetryPolicy>,
-    /// Tail-latency hedging on a [`ShardedRagServer`]: when set, every
+    /// Tail-latency hedging: when set, every
     /// shard fan-out task gets a speculative **hedge copy** submitted
     /// this long after the primary's arrival at [`Priority::High`] with
     /// the *primary's* deadline. Per `(query, shard)` the first
@@ -91,18 +97,17 @@ pub struct ServeConfig {
     /// behind a deep backlog answers from the hedge instead. Served
     /// queries that used at least one hedge copy are flagged via
     /// [`QueryCompletion::hedged`]. Hedge copies are extra shard-tasks:
-    /// they inflate the queue counters but never the query count. A
-    /// single-device [`RagServer`] ignores this (one queue — a duplicate
-    /// would race itself). With replication the hedge copy goes to a
-    /// *different* replica than the primary whenever one exists.
+    /// they inflate the queue counters but never the query count. With
+    /// replication the hedge copy goes to a *different* replica than the
+    /// primary whenever one exists; without it, to the same device.
     pub hedge: Option<Duration>,
-    /// Replicas per corpus shard on a [`ShardedRagServer`]: the server
+    /// Replicas per corpus shard: the server
     /// builds `shards × replicas` devices, load-balances each query's
     /// shard reads across its replica set, and transparently fails a
     /// lost read over to a surviving replica, so any single-replica
     /// fault still yields the exact, non-degraded top-k. `1` (or `0`,
     /// clamped) disables replication and is byte-identical to the
-    /// unreplicated server. A single-device [`RagServer`] ignores this.
+    /// unreplicated server.
     pub replicas: usize,
     /// How retrievals execute by default: [`IndexMode::Flat`] (the
     /// paper's exact scan) or [`IndexMode::Ivf`] cluster-pruned search.
@@ -110,14 +115,14 @@ pub struct ServeConfig {
     /// keeps the exact global top-k merge unchanged; a per-query
     /// [`QuerySpec::index`] overrides this default, and queries with
     /// different index modes never share a batch
-    /// ([`crate::batch::retrieval_batch_key_for`]).
+    /// ([`crate::mutable::snapshot_batch_key`]).
     pub index: IndexMode,
-    /// Priority background compaction tasks are submitted at on a
-    /// mutable server (see [`ShardedRagServer::new_mutable`]). The
-    /// default, [`Priority::Low`], lets interactive queries overtake the
-    /// merge at every dispatch opportunity; the `serve_mutation` bench
-    /// measures the in-SLO goodput gap against running compaction at
-    /// interactive priority. Ignored on an immutable server.
+    /// Priority background compaction tasks are submitted at (see
+    /// [`ShardedRagServer::request_compaction`]). The default,
+    /// [`Priority::Low`], lets interactive queries overtake the merge at
+    /// every dispatch opportunity; the `serve_mutation` bench measures
+    /// the in-SLO goodput gap against running compaction at interactive
+    /// priority.
     pub compaction_priority: Priority,
 }
 
@@ -142,8 +147,7 @@ impl Default for ServeConfig {
 /// Submission parameters of one query: arrival time plus optional
 /// tenant tag, per-query priority, and per-query TTL (overriding the
 /// server-wide [`ServeConfig`] defaults). Build with [`QuerySpec::new`]
-/// and pass to [`RagServer::submit_query`] /
-/// [`ShardedRagServer::submit_query`].
+/// and pass to [`ShardedRagServer::submit_query`].
 #[derive(Debug, Clone)]
 pub struct QuerySpec {
     arrival: Duration,
@@ -239,10 +243,9 @@ pub struct QueryCompletion {
     /// device`); the components sum exactly to
     /// [`QueryCompletion::latency`].
     pub stages: StageBreakdown,
-    /// How many corpus shards answered this query (always 1 of 1 on a
-    /// single-device [`RagServer`]). A served query with `shards_ok <
-    /// shards_total` is *degraded*: its hits are exact over the healthy
-    /// shards only.
+    /// How many corpus shards answered this query. A served query with
+    /// `shards_ok < shards_total` is *degraded*: its hits are exact over
+    /// the healthy shards only.
     pub shards_ok: usize,
     /// How many corpus shards the query was fanned out to.
     pub shards_total: usize,
@@ -331,9 +334,8 @@ pub struct ServeReport {
     /// [`ServeReport::served`] / [`ServeReport::failed`] for query-level
     /// accounting.
     pub queue: QueueStats,
-    /// Per-queue counters. A single-device [`RagServer`] reports one
-    /// entry (equal to `queue`); an unreplicated [`ShardedRagServer`]
-    /// one entry per corpus shard, in shard order. With replication
+    /// Per-queue counters. An unreplicated server reports one entry per
+    /// corpus shard, in shard order (one shard: equal to `queue`). With replication
     /// ([`ServeConfig::replicas`] ≥ 2) entry `i` is **device** `i` of
     /// the `shards × replicas` pool — replica `r` of shard `s` is entry
     /// `s * replicas + r`.
@@ -347,8 +349,7 @@ pub struct ServeReport {
     /// run.
     pub ivf: IvfStats,
     /// Live-corpus counters as of the end of the drain (the
-    /// `apu_corpus_*` series in [`ServeReport::prometheus_text`]). All
-    /// zeros on an immutable server.
+    /// `apu_corpus_*` series in [`ServeReport::prometheus_text`]).
     pub corpus: CorpusStats,
 }
 
@@ -389,8 +390,8 @@ impl ServeReport {
     }
 
     /// Served queries answered by only a subset of their corpus shards
-    /// (see [`QueryCompletion::is_degraded`]). Always 0 on a
-    /// single-device [`RagServer`].
+    /// (see [`QueryCompletion::is_degraded`]). Always 0 on a one-shard,
+    /// unreplicated server.
     pub fn degraded(&self) -> usize {
         self.completions.iter().filter(|c| c.is_degraded()).count()
     }
@@ -563,220 +564,24 @@ impl ServeReport {
 struct PendingQuery {
     ticket: QueryTicket,
     spec: QuerySpec,
-    /// Immutable corpus snapshot captured at admission on a mutable
-    /// server; `None` on a static corpus (the pre-mutation fast path).
-    snapshot: Option<Arc<Snapshot>>,
-}
-
-/// An online RAG retrieval server over one device.
-///
-/// Submit queries with [`RagServer::submit`], then [`RagServer::drain`]
-/// to form batches, run them through the device command queue, and
-/// collect per-query completions.
-pub struct RagServer<'a> {
-    dev: &'a mut ApuDevice,
-    hbm: &'a mut MemorySystem,
-    store: &'a EmbeddingStore,
-    cfg: ServeConfig,
-    pending: Vec<PendingQuery>,
-    next_ticket: u64,
-    /// IVF indexes built lazily per `nlist`, cached across drains.
-    ivf: HashMap<usize, IvfIndex>,
-}
-
-impl<'a> RagServer<'a> {
-    /// Opens a server over a device, its off-chip embedding memory, and
-    /// a corpus.
-    pub fn new(
-        dev: &'a mut ApuDevice,
-        hbm: &'a mut MemorySystem,
-        store: &'a EmbeddingStore,
-        cfg: ServeConfig,
-    ) -> Self {
-        RagServer {
-            dev,
-            hbm,
-            store,
-            cfg,
-            pending: Vec::new(),
-            next_ticket: 0,
-            ivf: HashMap::new(),
-        }
-    }
-
-    /// Queries accepted but not yet drained.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Accepts one query arriving at `arrival` on the virtual timeline,
-    /// with the server-wide tenant/priority/TTL defaults (shorthand for
-    /// [`RagServer::submit_query`] with a bare [`QuerySpec`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::QueueFull`] when the backlog exceeds the queue's
-    /// admission bound, or [`Error::InvalidArg`] for a bad dimension
-    /// (checked later by the batch kernel as well).
-    pub fn submit(&mut self, arrival: Duration, query: Vec<i16>) -> Result<QueryTicket> {
-        self.submit_query(QuerySpec::new(arrival, query))
-    }
-
-    /// Accepts one query with explicit per-query submission parameters
-    /// (tenant tag, priority, TTL).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::QueueFull`] when the backlog exceeds the queue's
-    /// admission bound.
-    pub fn submit_query(&mut self, spec: QuerySpec) -> Result<QueryTicket> {
-        if self.pending.len() >= self.cfg.queue.max_pending {
-            return Err(Error::QueueFull {
-                pending: self.pending.len(),
-                capacity: self.cfg.queue.max_pending,
-            });
-        }
-        let ticket = QueryTicket(self.next_ticket);
-        self.next_ticket += 1;
-        self.pending.push(PendingQuery {
-            ticket,
-            spec,
-            snapshot: None,
-        });
-        Ok(ticket)
-    }
-
-    /// Runs every pending query through the device command queue — one
-    /// batchable submission per query, coalesced by the queue's
-    /// continuous-batching dispatcher — and returns per-query
-    /// completions. Failures are contained: a shed, faulted, or failed
-    /// query retires with an `Err` outcome in its [`QueryCompletion`]
-    /// while the rest of the stream keeps serving.
-    ///
-    /// # Errors
-    ///
-    /// Reserved for queue-level invariant violations; pending queries
-    /// are consumed either way.
-    pub fn drain(&mut self) -> Result<ServeReport> {
-        let mut queries = std::mem::take(&mut self.pending);
-        queries.sort_by_key(|p| (p.spec.arrival, p.ticket.0));
-
-        let store = self.store;
-        let k = self.cfg.k;
-        let cfg_index = self.cfg.index;
-        // Build (once, cached across drains) every IVF index this drain
-        // needs; training happens on the host, outside virtual time.
-        for p in &queries {
-            if let IndexMode::Ivf { nlist, .. } = p.spec.index.unwrap_or(cfg_index) {
-                self.ivf
-                    .entry(nlist)
-                    .or_insert_with(|| IvfIndex::build(store, nlist));
-            }
-        }
-        let ivf_indexes = &self.ivf;
-        let ivf_cell = RefCell::new(IvfStats::default());
-        let hbm = RefCell::new(&mut *self.hbm);
-        let mut queue_cfg = self
-            .cfg
-            .queue
-            .clone()
-            .with_max_batch(self.cfg.max_batch.clamp(1, MAX_BATCH))
-            .with_max_batch_wait(self.cfg.batch_window);
-        if let Some(policy) = self.cfg.retry {
-            queue_cfg = queue_cfg.with_retry(policy);
-        }
-        let mut queue = DeviceQueue::new(&mut *self.dev, queue_cfg);
-        let mut tickets: HashMap<TaskHandle, (QueryTicket, Duration)> = HashMap::new();
-        for p in queries {
-            let hbm = &hbm;
-            let mode = p.spec.index.unwrap_or(cfg_index);
-            let key = retrieval_batch_key_for(store, k, mode);
-            let run: apu_sim::queue::BatchRunner<'_> = match mode {
-                IndexMode::Flat => Box::new(move |dev: &mut ApuDevice, payloads| {
-                    let mut hbm = hbm.borrow_mut();
-                    run_boxed_batch(dev, &mut hbm, store, payloads, k)
-                }),
-                IndexMode::Ivf { nlist, nprobe } => {
-                    let index = &ivf_indexes[&nlist];
-                    let stats = &ivf_cell;
-                    Box::new(move |dev: &mut ApuDevice, payloads| {
-                        let mut hbm = hbm.borrow_mut();
-                        let (report, outputs, ds) =
-                            run_boxed_ivf_batch_at(dev, &mut hbm, index, payloads, k, nprobe, 0)?;
-                        stats.borrow_mut().absorb(&ds);
-                        Ok((report, outputs))
-                    })
-                }
-            };
-            let arrival = p.spec.arrival;
-            let mut task = TaskSpec::batch(key, Box::new(p.spec.query), run)
-                .priority(p.spec.priority.unwrap_or(self.cfg.priority))
-                .at(arrival)
-                .tenant(p.spec.tenant);
-            if let Some(ttl) = p.spec.ttl.or(self.cfg.ttl) {
-                task = task.ttl(ttl);
-            }
-            let handle = queue.submit(task)?;
-            tickets.insert(handle, (p.ticket, arrival));
-        }
-
-        let mut completions = Vec::new();
-        for done in queue.drain()? {
-            let (ticket, arrival) = tickets
-                .remove(&done.handle)
-                .expect("every completion maps to a submitted query");
-            let (started_at, finished_at) = (done.started_at, done.finished_at);
-            let (batch_size, attempts) = (done.batch_size, done.attempts);
-            let tenant = done.tenant;
-            let stages = done.stage_breakdown();
-            let outcome = done.into_output();
-            completions.push(QueryCompletion {
-                ticket,
-                tenant,
-                arrival,
-                started_at,
-                finished_at,
-                batch_size,
-                attempts,
-                stages,
-                shards_ok: usize::from(outcome.is_ok()),
-                shards_total: 1,
-                hedged: false,
-                failovers: 0,
-                outcome,
-            });
-        }
-        let stats = queue.stats().clone();
-        let ivf = *ivf_cell.borrow();
-        Ok(ServeReport {
-            completions,
-            shards: vec![stats.clone()],
-            queue: stats,
-            replica: ReplicaStats {
-                groups: 1,
-                per_shard: 1,
-                ..ReplicaStats::default()
-            },
-            ivf,
-            corpus: CorpusStats::default(),
-        })
-    }
+    /// Immutable corpus snapshot captured at admission.
+    snapshot: Arc<Snapshot>,
 }
 
 /// An online RAG retrieval server sharded across a simulated multi-device
 /// cluster.
 ///
 /// The corpus is split into contiguous shards
-/// ([`EmbeddingStore::shards`]); each shard owns one simulated
+/// ([`EmbeddingStore::shards`]) that form the base segments of the
+/// server's [`MutableCorpus`]; each shard owns one simulated
 /// [`ApuDevice`] (independent virtual clock, fault plan, trace sink) and
 /// one off-chip [`MemorySystem`]. [`ShardedRagServer::drain`] fans every
 /// query out to all shards through a [`DeviceCluster`] — each shard runs
 /// the same continuous-batching retrieval kernel over its slice of the
-/// corpus and reports **global** chunk ids — then merges the per-shard
-/// top-k into the exact global top-k with the same tie-break
-/// (score descending, chunk ascending) as the single-device path, so a
-/// fault-free sharded run is element-identical to [`RagServer`] on the
-/// whole corpus.
+/// query's pinned snapshot and reports **global** chunk ids — then
+/// merges the per-shard top-k into the exact global top-k with the same
+/// tie-break (score descending, chunk ascending) as the single-device
+/// kernel, so a fault-free run is element-identical for any shard count.
 ///
 /// Shard failures are contained, not amplified: a query dropped by one
 /// shard (injected fault, TTL shed, kernel failure) still serves from
@@ -815,32 +620,35 @@ impl<'a> RagServer<'a> {
 pub struct ShardedRagServer {
     devices: Vec<ApuDevice>,
     hbms: Vec<MemorySystem>,
-    shards: Vec<CorpusShard>,
     placement: Placement,
     replicas: usize,
     cfg: ServeConfig,
     pending: Vec<PendingQuery>,
     next_ticket: u64,
     traces: Option<Vec<Rc<RefCell<ChromeTraceSink>>>>,
-    /// Per-`nlist` IVF indexes, one per shard slice (shared across a
-    /// shard's replicas), built lazily and cached across drains.
-    ivf: HashMap<usize, Vec<IvfIndex>>,
-    /// The live corpus on a server built with
-    /// [`ShardedRagServer::new_mutable`]; `None` keeps the static
-    /// fast path byte-identical to the pre-mutation server.
-    mutable: Option<MutableCorpus>,
-    /// IVF indexes over mutable **base** segments, keyed by
-    /// `(base epoch, nlist)`. Epochs are unique per segment generation,
-    /// so a compacted base never reuses a stale index; stale entries are
-    /// pruned once no live snapshot can reference them.
-    mut_ivf: HashMap<(u64, usize), IvfIndex>,
+    /// The live corpus; its base segments are the store's shard slices,
+    /// the only copy of the corpus data the server holds.
+    corpus: MutableCorpus,
+    /// IVF indexes over base segments, keyed by `(base epoch, nlist)`
+    /// and shared by a shard's replicas. Epochs are unique per segment
+    /// generation, so a compacted base never reuses a stale index; stale
+    /// entries are pruned once no live snapshot can reference them.
+    ivf: HashMap<(u64, usize), IvfIndex>,
 }
 
 impl ShardedRagServer {
     /// Builds a cluster of `shards × max(cfg.replicas, 1)` simulated
     /// devices, each configured from `sim`; replica `r` of shard `s`
-    /// holds a copy of shard `s`'s contiguous slice of `store` on its
-    /// own device + off-chip memory.
+    /// serves shard `s`'s contiguous slice of `store` on its own device
+    /// and off-chip memory. The slices become the base segments of a
+    /// writable [`MutableCorpus`]: queries capture an immutable snapshot
+    /// at admission ([`ShardedRagServer::submit_query`]) and scan exactly
+    /// that snapshot — base + sealed deltas minus tombstones — so
+    /// batching, sharding, replication, priorities, and fault
+    /// containment compose with writes unchanged. Background compaction
+    /// requested via [`ShardedRagServer::request_compaction`] runs as
+    /// ordinary [`ServeConfig::compaction_priority`] work on the same
+    /// queues during [`ShardedRagServer::drain`].
     ///
     /// # Errors
     ///
@@ -858,9 +666,10 @@ impl ShardedRagServer {
             ));
         }
         let replicas = cfg.replicas.max(1);
-        let shards = store.shards(shards);
-        let n_devices = shards.len() * replicas;
-        let placement = Placement::new(shards.len(), replicas, n_devices)?;
+        let corpus = MutableCorpus::new(store, shards);
+        let n_shards = corpus.shard_count();
+        let n_devices = n_shards * replicas;
+        let placement = Placement::new(n_shards, replicas, n_devices)?;
         let mut devices = Vec::with_capacity(n_devices);
         let mut hbms = Vec::with_capacity(n_devices);
         for _ in 0..n_devices {
@@ -870,30 +679,19 @@ impl ShardedRagServer {
         Ok(ShardedRagServer {
             devices,
             hbms,
-            shards,
             placement,
             replicas,
             cfg,
             pending: Vec::new(),
             next_ticket: 0,
             traces: None,
+            corpus,
             ivf: HashMap::new(),
-            mutable: None,
-            mut_ivf: HashMap::new(),
         })
     }
 
-    /// Builds a **mutable** sharded server: the same cluster as
-    /// [`ShardedRagServer::new`], plus a [`MutableCorpus`] whose base
-    /// segments are `store`'s shard slices. Queries capture an immutable
-    /// snapshot at admission ([`ShardedRagServer::submit_query`]) and
-    /// scan exactly that snapshot — base + sealed deltas minus
-    /// tombstones — through the same batched kernel path, so batching,
-    /// sharding, replication, priorities, and fault containment all
-    /// compose unchanged. Background compaction requested via
-    /// [`ShardedRagServer::request_compaction`] runs as ordinary
-    /// [`ServeConfig::compaction_priority`] work on the same queues
-    /// during [`ShardedRagServer::drain`].
+    /// Same as [`ShardedRagServer::new`]: every server's corpus is
+    /// writable.
     ///
     /// # Errors
     ///
@@ -904,21 +702,7 @@ impl ShardedRagServer {
         sim: SimConfig,
         cfg: ServeConfig,
     ) -> Result<Self> {
-        let mut server = Self::new(store, shards, sim, cfg)?;
-        server.mutable = Some(MutableCorpus::new(store, server.shards.len()));
-        Ok(server)
-    }
-
-    /// Whether this server was built with
-    /// [`ShardedRagServer::new_mutable`].
-    pub fn is_mutable(&self) -> bool {
-        self.mutable.is_some()
-    }
-
-    fn corpus_mut(&mut self) -> Result<&mut MutableCorpus> {
-        self.mutable.as_mut().ok_or_else(|| {
-            Error::InvalidArg("corpus mutation needs a server built with new_mutable".into())
-        })
+        Self::new(store, shards, sim, cfg)
     }
 
     /// Ingests one document into the live corpus, returning its global
@@ -927,10 +711,10 @@ impl ShardedRagServer {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidArg`] on an immutable server or an invalid
-    /// embedding (wrong dimension / out-of-band values).
+    /// [`Error::InvalidArg`] for an invalid embedding (wrong dimension /
+    /// out-of-band values).
     pub fn insert_doc(&mut self, embedding: &[i16]) -> Result<u32> {
-        self.corpus_mut()?.insert(embedding)
+        self.corpus.insert(embedding)
     }
 
     /// Deletes a document from the live corpus. Returns whether the
@@ -939,9 +723,9 @@ impl ShardedRagServer {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidArg`] on an immutable server.
+    /// Never fails; the `Result` is kept for API stability.
     pub fn delete_doc(&mut self, doc: u32) -> Result<bool> {
-        Ok(self.corpus_mut()?.delete(doc))
+        Ok(self.corpus.delete(doc))
     }
 
     /// Replaces a document's embedding (delete + insert), returning the
@@ -949,10 +733,10 @@ impl ShardedRagServer {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidArg`] on an immutable server, an unknown or
-    /// already-deleted `doc`, or an invalid embedding.
+    /// [`Error::InvalidArg`] for an unknown or already-deleted `doc`, or
+    /// an invalid embedding.
     pub fn update_doc(&mut self, doc: u32, embedding: &[i16]) -> Result<u32> {
-        self.corpus_mut()?.update(doc, embedding)
+        self.corpus.update(doc, embedding)
     }
 
     /// Requests background compaction of one corpus shard: merge its
@@ -965,33 +749,29 @@ impl ShardedRagServer {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidArg`] on an immutable server or a bad shard
-    /// index.
+    /// [`Error::InvalidArg`] for a bad shard index.
     pub fn request_compaction(
         &mut self,
         shard: usize,
         at: Duration,
     ) -> Result<Option<CompactionTicket>> {
-        self.corpus_mut()?.request_compaction(shard, at)
+        self.corpus.request_compaction(shard, at)
     }
 
-    /// Current live-corpus counters (all zeros on an immutable server).
+    /// Current live-corpus counters.
     pub fn corpus_stats(&self) -> CorpusStats {
-        self.mutable
-            .as_ref()
-            .map(MutableCorpus::stats)
-            .unwrap_or_default()
+        self.corpus.stats()
     }
 
     /// Captures the current corpus snapshot — what a query submitted
-    /// right now would scan. `None` on an immutable server.
+    /// right now would scan. Always `Some`.
     pub fn corpus_snapshot(&mut self) -> Option<Arc<Snapshot>> {
-        self.mutable.as_mut().map(MutableCorpus::snapshot)
+        Some(self.corpus.snapshot())
     }
 
     /// Number of corpus shards (logical shard groups).
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.corpus.shard_count()
     }
 
     /// Replicas per corpus shard (1 without replication).
@@ -1002,11 +782,6 @@ impl ShardedRagServer {
     /// Total devices in the pool (`shards × replicas`).
     pub fn device_count(&self) -> usize {
         self.devices.len()
-    }
-
-    /// The corpus shards, in shard order.
-    pub fn shards(&self) -> &[CorpusShard] {
-        &self.shards
     }
 
     /// Queries accepted but not yet drained.
@@ -1146,10 +921,9 @@ impl ShardedRagServer {
         }
         let ticket = QueryTicket(self.next_ticket);
         self.next_ticket += 1;
-        // On a mutable server every query pins the corpus state it was
-        // admitted against; later writes and compactions cannot change
-        // what it observes.
-        let snapshot = self.mutable.as_mut().map(MutableCorpus::snapshot);
+        // Every query pins the corpus state it was admitted against;
+        // later writes and compactions cannot change what it observes.
+        let snapshot = self.corpus.snapshot();
         self.pending.push(PendingQuery {
             ticket,
             spec,
@@ -1195,15 +969,11 @@ impl ShardedRagServer {
 
         // Compaction plans captured since the last drain ride this one
         // as ordinary device tasks (applied or failed after the loop).
-        let plans: Vec<Arc<CompactionPlan>> = self
-            .mutable
-            .as_mut()
-            .map(MutableCorpus::take_plans)
-            .unwrap_or_default();
+        let plans: Vec<Arc<CompactionPlan>> = self.corpus.take_plans();
         let compaction_priority = self.cfg.compaction_priority;
 
         let k = self.cfg.k;
-        let n_shards = self.shards.len();
+        let n_shards = self.corpus.shard_count();
         let n_devices = self.devices.len();
         let mut queue_cfg = self
             .cfg
@@ -1221,56 +991,38 @@ impl ShardedRagServer {
 
         // Build (once, cached across drains) every per-shard IVF index
         // this drain needs; a shard's replicas share the index, and the
-        // exact global merge is unchanged.
+        // exact global merge is unchanged. A query indexes its snapshot's
+        // base segments; the (unique) base epoch keys the cache, so a
+        // compacted base can never serve a stale index. Deltas stay
+        // flat-scanned — they are small and short-lived by design.
         for p in &queries {
             if let IndexMode::Ivf { nlist, .. } = p.spec.index.unwrap_or(cfg_index) {
-                match &p.snapshot {
-                    // A snapshot query indexes its own base segments;
-                    // the (unique) base epoch keys the cache, so a
-                    // compacted base can never serve a stale index.
-                    // Deltas stay flat-scanned — they are small and
-                    // short-lived by design.
-                    Some(snap) => {
-                        for sh in &snap.shards {
-                            let base = &sh.segments[0].store;
-                            if base.spec().chunks == 0 {
-                                continue;
-                            }
-                            self.mut_ivf
-                                .entry((base.epoch(), nlist))
-                                .or_insert_with(|| IvfIndex::build(base, nlist));
-                        }
+                for sh in &p.snapshot.shards {
+                    let base = &sh.segments[0].store;
+                    if base.spec().chunks == 0 {
+                        continue;
                     }
-                    None => {
-                        if !self.ivf.contains_key(&nlist) {
-                            let built = self
-                                .shards
-                                .iter()
-                                .map(|sh| IvfIndex::build(&sh.store, nlist))
-                                .collect();
-                            self.ivf.insert(nlist, built);
-                        }
-                    }
+                    self.ivf
+                        .entry((base.epoch(), nlist))
+                        .or_insert_with(|| IvfIndex::build(base, nlist));
                 }
             }
         }
         // Drop cached indexes whose base epoch no live query references
         // and the corpus no longer holds — compaction retired them.
-        if let Some(corpus) = &self.mutable {
-            let live: std::collections::HashSet<u64> = corpus
-                .base_epochs()
-                .into_iter()
-                .chain(
-                    queries
-                        .iter()
-                        .filter_map(|p| p.snapshot.as_ref())
-                        .flat_map(|snap| snap.shards.iter().map(|sh| sh.segments[0].store.epoch())),
-                )
-                .collect();
-            self.mut_ivf.retain(|(epoch, _), _| live.contains(epoch));
-        }
+        let live: std::collections::HashSet<u64> = self
+            .corpus
+            .base_epochs()
+            .into_iter()
+            .chain(queries.iter().flat_map(|p| {
+                p.snapshot
+                    .shards
+                    .iter()
+                    .map(|sh| sh.segments[0].store.epoch())
+            }))
+            .collect();
+        self.ivf.retain(|(epoch, _), _| live.contains(epoch));
         let ivf_indexes = &self.ivf;
-        let mut_ivf = &self.mut_ivf;
         let ivf_cell = RefCell::new(IvfStats::default());
 
         // Per-query submission parameters, in (arrival, ticket) order —
@@ -1284,7 +1036,7 @@ impl ShardedRagServer {
             ttl: Option<Duration>,
             index: IndexMode,
             query: Vec<i16>,
-            snapshot: Option<Arc<Snapshot>>,
+            snapshot: Arc<Snapshot>,
         }
         let infos: Vec<QInfo> = queries
             .into_iter()
@@ -1309,7 +1061,6 @@ impl ShardedRagServer {
         // cells, so they must outlive the cluster that owns the closures.
         let hbm_cells: Vec<RefCell<&mut MemorySystem>> =
             self.hbms.iter_mut().map(RefCell::new).collect();
-        let shards = &self.shards;
         let mut cluster = DeviceCluster::new(
             self.devices.iter_mut().collect(),
             queue_cfg,
@@ -1325,25 +1076,21 @@ impl ShardedRagServer {
         // never extends it.
         let make_task = |info: &QInfo, s: usize, device: usize, at: Duration, prio: Priority| {
             let hbm = &hbm_cells[device];
-            let shard = &shards[s];
-            let run: apu_sim::queue::BatchRunner<'_> = if let Some(snap_ref) = &info.snapshot {
-                // Snapshot path: scan the pinned shard view — base +
-                // sealed deltas minus tombstones — through the same
-                // batched kernel. The base may run through a per-epoch
-                // IVF index; deltas always scan flat.
-                let ivf_sel: Option<(&IvfIndex, usize)> = match info.index {
-                    IndexMode::Flat => None,
-                    IndexMode::Ivf { nlist, nprobe } => {
-                        let base = &snap_ref.shards[s].segments[0].store;
-                        if base.spec().chunks == 0 {
-                            None
-                        } else {
-                            Some((&mut_ivf[&(base.epoch(), nlist)], nprobe))
-                        }
-                    }
-                };
-                let snap = Arc::clone(snap_ref);
-                let stats = &ivf_cell;
+            // Scan the pinned shard view — base + sealed deltas minus
+            // tombstones — through the batched kernel. The base may run
+            // through a per-epoch IVF index; deltas always scan flat.
+            let ivf_sel: Option<(&IvfIndex, usize)> = match info.index {
+                IndexMode::Flat => None,
+                IndexMode::Ivf { nlist, nprobe } => {
+                    let base = &info.snapshot.shards[s].segments[0].store;
+                    let index =
+                        (base.spec().chunks > 0).then(|| &ivf_indexes[&(base.epoch(), nlist)]);
+                    index.map(|index| (index, nprobe))
+                }
+            };
+            let snap = Arc::clone(&info.snapshot);
+            let stats = &ivf_cell;
+            let run: apu_sim::queue::BatchRunner<'_> =
                 Box::new(move |dev: &mut ApuDevice, payloads| {
                     let mut hbm = hbm.borrow_mut();
                     let (report, outputs, ds) = run_boxed_snapshot_batch(
@@ -1356,33 +1103,10 @@ impl ShardedRagServer {
                     )?;
                     stats.borrow_mut().absorb(&ds);
                     Ok((report, outputs))
-                })
-            } else {
-                match info.index {
-                    IndexMode::Flat => Box::new(move |dev: &mut ApuDevice, payloads| {
-                        let mut hbm = hbm.borrow_mut();
-                        run_boxed_batch_at(dev, &mut hbm, &shard.store, payloads, k, shard.base)
-                    }),
-                    IndexMode::Ivf { nlist, nprobe } => {
-                        let index = &ivf_indexes[&nlist][s];
-                        let stats = &ivf_cell;
-                        Box::new(move |dev: &mut ApuDevice, payloads| {
-                            let mut hbm = hbm.borrow_mut();
-                            let (report, outputs, ds) = run_boxed_ivf_batch_at(
-                                dev, &mut hbm, index, payloads, k, nprobe, shard.base,
-                            )?;
-                            stats.borrow_mut().absorb(&ds);
-                            Ok((report, outputs))
-                        })
-                    }
-                }
-            };
-            // Snapshot queries batch by (shard, snapshot id, k, mode):
-            // same-snapshot queries coalesce, cross-snapshot never do.
-            let key = match &info.snapshot {
-                Some(snap) => snapshot_batch_key(s, snap.id, k, info.index),
-                None => retrieval_batch_key_for(&shard.store, k, info.index),
-            };
+                });
+            // Queries batch by (shard, snapshot id, k, mode): same-snapshot
+            // queries coalesce, cross-snapshot never do.
+            let key = snapshot_batch_key(s, info.snapshot.id, k, info.index);
             let mut task = TaskSpec::batch(key, Box::new(info.query.clone()), run)
                 .priority(prio)
                 .at(at)
@@ -1585,14 +1309,12 @@ impl ShardedRagServer {
         // and retires the captured tombstones; a failed one leaves the
         // corpus untouched and re-requestable. Queries are unaffected
         // either way — every admitted query pinned its snapshot.
-        if let Some(corpus) = self.mutable.as_mut() {
-            comp_results.sort_by_key(|(pi, _)| plans[*pi].seq);
-            for (pi, done) in comp_results {
-                let plan = &plans[pi];
-                match done.map(Completion::into_output::<Segment>) {
-                    Some(Ok(merged)) => corpus.apply_compaction(plan, merged),
-                    Some(Err(_)) | None => corpus.fail_compaction(plan),
-                }
+        comp_results.sort_by_key(|(pi, _)| plans[*pi].seq);
+        for (pi, done) in comp_results {
+            let plan = &plans[pi];
+            match done.map(Completion::into_output::<Segment>) {
+                Some(Ok(merged)) => self.corpus.apply_compaction(plan, merged),
+                Some(Err(_)) | None => self.corpus.fail_compaction(plan),
             }
         }
         // Queue counters are cumulative across drain rounds, so one
@@ -1697,18 +1419,13 @@ impl ShardedRagServer {
             failover_served,
         };
         let ivf = *ivf_cell.borrow();
-        let corpus = self
-            .mutable
-            .as_ref()
-            .map(MutableCorpus::stats)
-            .unwrap_or_default();
         Ok(ServeReport {
             completions,
             queue,
             shards: shard_stats,
             replica,
             ivf,
-            corpus,
+            corpus: self.corpus.stats(),
         })
     }
 }
@@ -1719,30 +1436,33 @@ mod tests {
     use crate::batch::retrieve_batch;
     use crate::corpus::CorpusSpec;
     use crate::mutable::flat_scan;
-    use apu_sim::SimConfig;
-    use hbm_sim::DramSpec;
 
-    fn setup(chunks: usize) -> (ApuDevice, MemorySystem, EmbeddingStore) {
-        (
-            ApuDevice::new(SimConfig::default().with_l4_bytes(8 << 20)),
-            MemorySystem::new(DramSpec::hbm2e_16gb()),
-            EmbeddingStore::materialized(
-                CorpusSpec {
-                    corpus_bytes: 0,
-                    chunks,
-                },
-                77,
-            ),
+    fn sim() -> SimConfig {
+        SimConfig::default().with_l4_bytes(8 << 20)
+    }
+
+    fn corpus(chunks: usize) -> EmbeddingStore {
+        EmbeddingStore::materialized(
+            CorpusSpec {
+                corpus_bytes: 0,
+                chunks,
+            },
+            77,
         )
+    }
+
+    /// A one-shard, unreplicated server: the single-device case.
+    fn single(store: &EmbeddingStore, cfg: ServeConfig) -> ShardedRagServer {
+        ShardedRagServer::new(store, 1, sim(), cfg).unwrap()
     }
 
     #[test]
     fn queue_path_matches_synchronous_batch_path() {
-        let (mut dev, mut hbm, store) = setup(20_000);
+        let store = corpus(20_000);
         let queries: Vec<Vec<i16>> = (0..4).map(|i| store.query(i)).collect();
 
         let report = {
-            let mut server = RagServer::new(&mut dev, &mut hbm, &store, ServeConfig::default());
+            let mut server = single(&store, ServeConfig::default());
             for q in &queries {
                 server.submit(Duration::ZERO, q.clone()).unwrap();
             }
@@ -1750,8 +1470,9 @@ mod tests {
         };
 
         // Synchronous reference on a fresh device: same batch, same kernel.
-        let (mut dev2, mut hbm2, _) = setup(1);
-        let sync = retrieve_batch(&mut dev2, &mut hbm2, &store, &queries, 5).unwrap();
+        let mut dev = ApuDevice::new(sim());
+        let mut hbm = MemorySystem::new(DramSpec::hbm2e_16gb());
+        let sync = retrieve_batch(&mut dev, &mut hbm, &store, &queries, 5).unwrap();
         assert_eq!(report.completions.len(), 4);
         for done in &report.completions {
             assert_eq!(
@@ -1770,9 +1491,9 @@ mod tests {
 
     #[test]
     fn stage_breakdown_sums_to_latency_and_exports() {
-        let (mut dev, mut hbm, store) = setup(4096);
+        let store = corpus(4096);
         let report = {
-            let mut server = RagServer::new(&mut dev, &mut hbm, &store, ServeConfig::default());
+            let mut server = single(&store, ServeConfig::default());
             for i in 0..3 {
                 server
                     .submit(Duration::from_micros(i * 5), store.query(i))
@@ -1798,12 +1519,12 @@ mod tests {
 
     #[test]
     fn batch_window_splits_distant_arrivals() {
-        let (mut dev, mut hbm, store) = setup(4096);
+        let store = corpus(4096);
         let cfg = ServeConfig {
             batch_window: Duration::from_millis(1),
             ..ServeConfig::default()
         };
-        let mut server = RagServer::new(&mut dev, &mut hbm, &store, cfg);
+        let mut server = single(&store, cfg);
         server.submit(Duration::ZERO, store.query(0)).unwrap();
         server
             .submit(Duration::from_micros(100), store.query(1))
@@ -1827,8 +1548,8 @@ mod tests {
 
     #[test]
     fn vr_limit_caps_batch_size() {
-        let (mut dev, mut hbm, store) = setup(4096);
-        let mut server = RagServer::new(&mut dev, &mut hbm, &store, ServeConfig::default());
+        let store = corpus(4096);
+        let mut server = single(&store, ServeConfig::default());
         for i in 0..(MAX_BATCH + 3) {
             server
                 .submit(Duration::ZERO, store.query(i as u64))
@@ -1848,18 +1569,18 @@ mod tests {
 
     #[test]
     fn sharded_serving_matches_the_single_device_top_k() {
-        let (mut dev, mut hbm, store) = setup(12_000);
+        let store = corpus(12_000);
         let queries: Vec<Vec<i16>> = (0..4).map(|i| store.query(i)).collect();
 
         let single = {
-            let mut server = RagServer::new(&mut dev, &mut hbm, &store, ServeConfig::default());
+            let mut server = single(&store, ServeConfig::default());
             for q in &queries {
                 server.submit(Duration::ZERO, q.clone()).unwrap();
             }
             server.drain().unwrap()
         };
 
-        let sim = SimConfig::default().with_l4_bytes(8 << 20);
+        let sim = sim();
         let mut sharded = ShardedRagServer::new(&store, 3, sim, ServeConfig::default()).unwrap();
         assert_eq!(sharded.shard_count(), 3);
         for q in &queries {
@@ -1906,9 +1627,9 @@ mod tests {
         assert_eq!(empty.latency_percentile(0.99), Duration::ZERO);
 
         // All-failed report: every dispatch faults, and no retries.
-        let (mut dev, mut hbm, store) = setup(4096);
-        dev.inject_faults(FaultPlan::new(3).fail_every_kth_task(1));
-        let mut server = RagServer::new(&mut dev, &mut hbm, &store, ServeConfig::default());
+        let store = corpus(4096);
+        let mut server = single(&store, ServeConfig::default());
+        server.inject_faults(0, FaultPlan::new(3).fail_every_kth_task(1));
         for i in 0..3 {
             server
                 .submit(Duration::from_micros(i * 10), store.query(i))
@@ -1929,7 +1650,7 @@ mod tests {
             },
             77,
         );
-        let sim = SimConfig::default().with_l4_bytes(8 << 20);
+        let sim = sim();
         let mut sharded = ShardedRagServer::new(&store, 3, sim, ServeConfig::default()).unwrap();
         // Shard 1 fails every dispatch; no retries configured.
         sharded.inject_faults(1, apu_sim::FaultPlan::new(7).fail_every_kth_task(1));
@@ -1940,8 +1661,8 @@ mod tests {
         assert_eq!(report.served(), 4);
         assert_eq!(report.failed(), 0);
         assert_eq!(report.degraded(), 4);
-        let healthy: Vec<_> = sharded
-            .shards()
+        let healthy: Vec<_> = store
+            .shards(3)
             .iter()
             .enumerate()
             .filter(|(s, _)| *s != 1)
@@ -1970,15 +1691,14 @@ mod tests {
         );
         let queries: Vec<Vec<i16>> = (0..4).map(|i| store.query(i)).collect();
         let single = {
-            let (mut dev, mut hbm, _) = setup(1);
-            let mut server = RagServer::new(&mut dev, &mut hbm, &store, ServeConfig::default());
+            let mut server = single(&store, ServeConfig::default());
             for q in &queries {
                 server.submit(Duration::ZERO, q.clone()).unwrap();
             }
             server.drain().unwrap()
         };
 
-        let sim = SimConfig::default().with_l4_bytes(8 << 20);
+        let sim = sim();
         let cfg = ServeConfig {
             replicas: 2,
             ..ServeConfig::default()
@@ -2040,7 +1760,7 @@ mod tests {
             },
             77,
         );
-        let sim = SimConfig::default().with_l4_bytes(8 << 20);
+        let sim = sim();
         let cfg = ServeConfig {
             replicas: 2,
             ..ServeConfig::default()
@@ -2056,7 +1776,7 @@ mod tests {
         let report = sharded.drain().unwrap();
         assert_eq!(report.served(), 3);
         assert_eq!(report.degraded(), 3, "shard 1 is gone entirely");
-        let shard0: Vec<_> = sharded.shards()[0].range().collect();
+        let shard0: Vec<_> = store.shards(2)[0].range().collect();
         for done in &report.completions {
             assert_eq!((done.shards_ok, done.shards_total), (1, 2));
             assert!(done.failovers >= 1, "the second replica was tried");
@@ -2070,7 +1790,7 @@ mod tests {
 
     #[test]
     fn ivf_serving_reports_probe_metrics_and_exact_scores() {
-        let (mut dev, mut hbm, store) = setup(8_192);
+        let store = corpus(8_192);
         let cfg = ServeConfig {
             k: 10,
             index: IndexMode::Ivf {
@@ -2081,7 +1801,7 @@ mod tests {
         };
         let queries: Vec<Vec<i16>> = (0..4).map(|i| store.query(i)).collect();
         let report = {
-            let mut server = RagServer::new(&mut dev, &mut hbm, &store, cfg);
+            let mut server = single(&store, cfg);
             for q in &queries {
                 server.submit(Duration::ZERO, q.clone()).unwrap();
             }
@@ -2110,17 +1830,17 @@ mod tests {
 
     #[test]
     fn sharded_ivf_full_probe_matches_flat_serving() {
-        let (mut dev, mut hbm, store) = setup(6_000);
+        let store = corpus(6_000);
         let queries: Vec<Vec<i16>> = (0..4).map(|i| store.query(i)).collect();
         let flat = {
-            let mut server = RagServer::new(&mut dev, &mut hbm, &store, ServeConfig::default());
+            let mut server = single(&store, ServeConfig::default());
             for q in &queries {
                 server.submit(Duration::ZERO, q.clone()).unwrap();
             }
             server.drain().unwrap()
         };
 
-        let sim = SimConfig::default().with_l4_bytes(8 << 20);
+        let sim = sim();
         let cfg = ServeConfig {
             index: IndexMode::Ivf {
                 nlist: 6,
@@ -2151,8 +1871,8 @@ mod tests {
 
     #[test]
     fn per_query_index_override_never_batches_with_flat() {
-        let (mut dev, mut hbm, store) = setup(4_096);
-        let mut server = RagServer::new(&mut dev, &mut hbm, &store, ServeConfig::default());
+        let store = corpus(4_096);
+        let mut server = single(&store, ServeConfig::default());
         server.submit(Duration::ZERO, store.query(0)).unwrap();
         server
             .submit_query(
@@ -2169,12 +1889,12 @@ mod tests {
 
     #[test]
     fn admission_control_rejects_backlog() {
-        let (mut dev, mut hbm, store) = setup(4096);
+        let store = corpus(4096);
         let cfg = ServeConfig {
             queue: QueueConfig::default().with_max_pending(2),
             ..ServeConfig::default()
         };
-        let mut server = RagServer::new(&mut dev, &mut hbm, &store, cfg);
+        let mut server = single(&store, cfg);
         server.submit(Duration::ZERO, store.query(0)).unwrap();
         server.submit(Duration::ZERO, store.query(1)).unwrap();
         assert!(matches!(
@@ -2187,7 +1907,7 @@ mod tests {
     }
 
     #[test]
-    fn mutable_server_without_writes_matches_the_static_server() {
+    fn a_server_built_with_new_is_writable_and_pins_admission_snapshots() {
         let store = EmbeddingStore::materialized(
             CorpusSpec {
                 corpus_bytes: 0,
@@ -2195,43 +1915,59 @@ mod tests {
             },
             21,
         );
-        let sim = SimConfig::default().with_l4_bytes(8 << 20);
-        let queries: Vec<Vec<i16>> = (0..6).map(|i| store.query(i)).collect();
-        let run = |mutable: bool| {
-            let mut server = if mutable {
-                ShardedRagServer::new_mutable(&store, 3, sim.clone(), ServeConfig::default())
-                    .unwrap()
-            } else {
-                ShardedRagServer::new(&store, 3, sim.clone(), ServeConfig::default()).unwrap()
-            };
-            for (i, q) in queries.iter().enumerate() {
-                server
-                    .submit(Duration::from_micros(i as u64 * 40), q.clone())
-                    .unwrap();
-            }
-            server.drain().unwrap()
-        };
-        let fixed = run(false);
-        let live = run(true);
-        assert_eq!(live.served(), fixed.served());
-        let fixed_hits: HashMap<u64, &[Hit]> = fixed
-            .completions
-            .iter()
-            .map(|c| (c.ticket.id(), c.hits().expect("served")))
-            .collect();
-        for done in &live.completions {
-            assert_eq!(
-                done.hits().expect("served"),
-                fixed_hits[&done.ticket.id()],
-                "a mutable server with zero writes must answer like the static one"
-            );
+        let k = ServeConfig::default().k;
+        let mut server = ShardedRagServer::new(&store, 3, sim(), ServeConfig::default()).unwrap();
+
+        // Without writes the corpus is exactly the store: all six
+        // queries share snapshot 1 and the counters say so.
+        for i in 0..6 {
+            server
+                .submit(Duration::from_micros(i * 40), store.query(i))
+                .unwrap();
         }
-        // All six queries share snapshot 1; the static server reports
-        // all-zero corpus counters, the mutable one exports the series.
-        assert_eq!(fixed.corpus, CorpusStats::default());
-        assert_eq!(live.corpus.snapshots, 1);
-        assert_eq!(live.corpus.live_docs, 6_000);
-        assert!(live.prometheus_text().contains("apu_corpus_live_docs 6000"));
+        let report = server.drain().unwrap();
+        assert_eq!(report.served(), 6);
+        for done in &report.completions {
+            let q = store.query(done.ticket.id());
+            let (expected, _) = crate::cpu::cpu_retrieve(&store, &q, k, 4);
+            assert_eq!(done.hits().expect("served"), expected);
+        }
+        assert_eq!(
+            report.corpus,
+            CorpusStats {
+                live_docs: 6_000,
+                base_docs: 6_000,
+                snapshots: 1,
+                ..CorpusStats::default()
+            }
+        );
+        assert!(report
+            .prometheus_text()
+            .contains("apu_corpus_live_docs 6000"));
+
+        // A query admitted before an insert cannot see the new document;
+        // one admitted after it can (its own vector is its best match).
+        let probe = store.query(99);
+        let before = server
+            .submit(Duration::from_millis(50), probe.clone())
+            .unwrap();
+        let doc = server.insert_doc(&probe).unwrap();
+        assert_eq!(doc, 6_000);
+        let after = server.submit(Duration::from_millis(50), probe).unwrap();
+        let report = server.drain().unwrap();
+        assert_eq!(report.served(), 2);
+        for done in &report.completions {
+            let hits = done.hits().expect("served");
+            if done.ticket == before {
+                assert!(hits.iter().all(|h| h.chunk != doc), "pre-insert snapshot");
+            } else {
+                assert_eq!(done.ticket, after);
+                assert_eq!(hits[0].chunk, doc, "post-insert snapshot");
+            }
+        }
+        assert_eq!(report.corpus.live_docs, 6_001);
+        assert_eq!(report.corpus.inserts, 1);
+        assert_eq!(report.corpus.snapshots, 2);
     }
 
     #[test]
@@ -2243,9 +1979,8 @@ mod tests {
             },
             9,
         );
-        let sim = SimConfig::default().with_l4_bytes(8 << 20);
-        let mut server =
-            ShardedRagServer::new_mutable(&store, 2, sim, ServeConfig::default()).unwrap();
+        let sim = sim();
+        let mut server = ShardedRagServer::new(&store, 2, sim, ServeConfig::default()).unwrap();
         let k = ServeConfig::default().k;
 
         // q0 pins the pristine corpus.

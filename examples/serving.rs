@@ -1,7 +1,8 @@
 //! Serving: mixed-priority workloads through the device command queue.
 //!
-//! A latency-sensitive RAG retrieval stream and a background Phoenix
-//! histogram share one device. The queue dispatches the high-priority
+//! A latency-sensitive RAG retrieval stream, served by a one-shard
+//! [`rag::ShardedRagServer`], and a background Phoenix histogram share
+//! the server's device. The queue dispatches the high-priority
 //! retrieval first; the continuous-batching dispatcher coalesces
 //! same-key queries arriving within the batch window into one
 //! VR-limited device dispatch, and the example compares the batched
@@ -13,10 +14,11 @@
 //!
 //! Run with: `cargo run --release --example serving`
 //!
-//! Set `SERVE_TRACE_OUT=/path/to/trace.json` to record the whole run
-//! as a Chrome `trace_event` file (load it at <https://ui.perfetto.dev>),
-//! and `SERVE_METRICS_OUT=/path/to/metrics.txt` to dump the batched
-//! run's queue counters in the Prometheus text format.
+//! Set `SERVE_TRACE_OUT=/path/to/trace.json` to record that device's
+//! timeline — the histogram and the batched stream — as a Chrome
+//! `trace_event` file (load it at <https://ui.perfetto.dev>), and
+//! `SERVE_METRICS_OUT=/path/to/metrics.txt` to dump the batched run's
+//! queue counters in the Prometheus text format.
 //!
 //! The sharded section replays part of the stream on a four-device
 //! [`rag::ShardedRagServer`] and checks the merged top-k against the
@@ -26,24 +28,13 @@
 use std::time::Duration;
 
 use apu_sim::{
-    ApuDevice, ChromeTraceSink, DeviceQueue, FaultPlan, Priority, QueueConfig, RetryPolicy,
-    SimConfig,
+    ChromeTraceSink, DeviceQueue, FaultPlan, Priority, QueueConfig, RetryPolicy, SimConfig,
 };
-use hbm_sim::{DramSpec, MemorySystem};
 use phoenix::{histogram, OptConfig};
-use rag::{CorpusSpec, EmbeddingStore, RagServer, ServeConfig, ShardedRagServer};
+use rag::{CorpusSpec, EmbeddingStore, ServeConfig, ShardedRagServer};
 
 fn main() -> Result<(), apu_sim::Error> {
-    let mut dev = ApuDevice::try_new(SimConfig::default().with_l4_bytes(16 << 20))?;
-    // Optional device-timeline tracing: every queue, core, and DMA
-    // engine gets its own Perfetto track. The sink shares the device's
-    // clock so cycle stamps render in wall microseconds.
-    let trace = std::env::var_os("SERVE_TRACE_OUT").map(|path| {
-        let (sink, recorder) = ChromeTraceSink::shared(dev.config().clock);
-        dev.install_trace_sink(sink);
-        (path, recorder)
-    });
-    let mut hbm = MemorySystem::new(DramSpec::hbm2e_16gb());
+    let sim = SimConfig::default().with_l4_bytes(16 << 20);
     let store = EmbeddingStore::materialized(
         CorpusSpec {
             corpus_bytes: 0,
@@ -51,11 +42,22 @@ fn main() -> Result<(), apu_sim::Error> {
         },
         42,
     );
+    // One shard: the single-device server.
+    let mut server = ShardedRagServer::new(&store, 1, sim.clone(), ServeConfig::default())?;
+    // Optional device-timeline tracing: every queue, core, and DMA
+    // engine gets its own Perfetto track. The sink shares the device's
+    // clock so cycle stamps render in wall microseconds.
+    let trace = std::env::var_os("SERVE_TRACE_OUT").map(|path| {
+        let dev = server.device_mut(0);
+        let (sink, recorder) = ChromeTraceSink::shared(dev.config().clock);
+        dev.install_trace_sink(sink);
+        (path, recorder)
+    });
 
     // ---- 1. background analytics through the raw command queue ----
     let pixels = histogram::generate(100_000, 7);
     {
-        let mut queue = DeviceQueue::new(&mut dev, QueueConfig::default());
+        let mut queue = DeviceQueue::new(server.device_mut(0), QueueConfig::default());
         let handle = histogram::enqueue(&mut queue, Priority::Low, &pixels, OptConfig::all())?;
         let done = queue.wait(handle)?;
         println!(
@@ -68,16 +70,13 @@ fn main() -> Result<(), apu_sim::Error> {
 
     // ---- 2. an open-loop query stream through the RAG server ----
     let queries: Vec<Vec<i16>> = (0..48).map(|i| store.query(i)).collect();
-    let report = {
-        let mut server = RagServer::new(&mut dev, &mut hbm, &store, ServeConfig::default());
-        for (i, q) in queries.iter().enumerate() {
-            // Queries arrive 50 µs apart — faster than the device can
-            // serve them one at a time, so the continuous-batching
-            // dispatcher folds the backlog into VR-limited dispatches.
-            server.submit(Duration::from_micros(50 * i as u64), q.clone())?;
-        }
-        server.drain()?
-    };
+    for (i, q) in queries.iter().enumerate() {
+        // Queries arrive 50 µs apart — faster than the device can serve
+        // them one at a time, so the continuous-batching dispatcher
+        // folds the backlog into VR-limited dispatches.
+        server.submit(Duration::from_micros(50 * i as u64), q.clone())?;
+    }
+    let report = server.drain()?;
     for done in report.completions.iter().take(4) {
         println!(
             "query {}: {} hits, batch of {}, latency {:.2} ms",
@@ -113,7 +112,7 @@ fn main() -> Result<(), apu_sim::Error> {
             max_batch: 1,
             ..ServeConfig::default()
         };
-        let mut server = RagServer::new(&mut dev, &mut hbm, &store, cfg);
+        let mut server = ShardedRagServer::new(&store, 1, sim.clone(), cfg)?;
         for (i, q) in queries.iter().enumerate() {
             server.submit(Duration::from_micros(50 * i as u64), q.clone())?;
         }
@@ -131,7 +130,6 @@ fn main() -> Result<(), apu_sim::Error> {
     // deterministic task-fault rate is armed, each query carries a 2 ms
     // TTL, and transient faults get one retry with backoff. Shed and
     // faulted queries retire as error completions; the rest keep serving.
-    dev.inject_faults(FaultPlan::new(42).fail_task_rate(0.10));
     let burst: Vec<Vec<i16>> = (0..96).map(|i| store.query(1000 + i)).collect();
     let degraded = {
         let cfg = ServeConfig {
@@ -142,13 +140,13 @@ fn main() -> Result<(), apu_sim::Error> {
             }),
             ..ServeConfig::default()
         };
-        let mut server = RagServer::new(&mut dev, &mut hbm, &store, cfg);
+        let mut server = ShardedRagServer::new(&store, 1, sim.clone(), cfg)?;
+        server.inject_faults(0, FaultPlan::new(42).fail_task_rate(0.10));
         for (i, q) in burst.iter().enumerate() {
             server.submit(Duration::from_micros(5 * i as u64), q.clone())?;
         }
         server.drain()?
     };
-    dev.clear_faults();
     println!(
         "degraded: {} served / {} failed ({} shed past deadline, {} retries), p99 {:.2} ms",
         degraded.served(),
@@ -172,12 +170,7 @@ fn main() -> Result<(), apu_sim::Error> {
     // per-shard top-k results merge into the exact global top-k — the
     // hits match the single-device server bit for bit.
     let sharded_report = {
-        let mut sharded = ShardedRagServer::new(
-            &store,
-            4,
-            SimConfig::default().with_l4_bytes(16 << 20),
-            ServeConfig::default(),
-        )?;
+        let mut sharded = ShardedRagServer::new(&store, 4, sim, ServeConfig::default())?;
         if std::env::var_os("SERVE_SHARD_TRACE_OUT").is_some() {
             sharded.enable_tracing();
         }
@@ -216,7 +209,7 @@ fn main() -> Result<(), apu_sim::Error> {
 
     // ---- 6. export the recorded device timeline, if requested ----
     if let Some((path, recorder)) = trace {
-        dev.clear_trace_sink();
+        server.device_mut(0).clear_trace_sink();
         let sink = recorder.borrow();
         std::fs::write(&path, sink.json()).expect("write trace file");
         println!(

@@ -535,8 +535,9 @@ fn same_seed_churn_serves_are_byte_identical() {
 }
 
 /// End-to-end check on the CI mutation axis: `APU_SIM_TEST_MUTATION`
-/// selects a static corpus (the pre-mutation fast path must stay fully
-/// served and export all-zero corpus counters) or the churn stream
+/// selects a static corpus (a never-written server must stay fully
+/// served and export the unwritten store's counters: every document
+/// live in the base, one snapshot, no writes) or the churn stream
 /// (live ingest + deletes + mid-stream compaction must stay fully
 /// served with the `apu_corpus_*` series populated), composing with the
 /// mode, shard, replica, index, and fast-forward axes.
@@ -583,7 +584,15 @@ fn ci_mutation_axis_serves_the_full_stream() {
         }
         let report = server.drain().expect("drain");
         assert_eq!(report.served(), 12);
-        assert_eq!(report.corpus, rag::CorpusStats::default());
+        assert_eq!(
+            report.corpus,
+            rag::CorpusStats {
+                live_docs: 1_024,
+                base_docs: 1_024,
+                snapshots: 1,
+                ..rag::CorpusStats::default()
+            }
+        );
         assert!(report
             .prometheus_text()
             .contains("apu_corpus_compactions_total 0"));

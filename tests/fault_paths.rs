@@ -18,19 +18,25 @@ use apu_sim::{
     ApuDevice, DeviceQueue, Error, ExecMode, FaultPlan, QueueConfig, RetryPolicy, SimConfig,
     TaskSpec, VecOp,
 };
-use hbm_sim::{DramSpec, MemorySystem};
-use rag::{CorpusSpec, EmbeddingStore, Hit, RagServer, ServeConfig, ServeReport, ShardedRagServer};
+use rag::{CorpusSpec, EmbeddingStore, Hit, ServeConfig, ServeReport, ShardedRagServer};
 
 fn mode() -> ExecMode {
     ExecMode::from_env(ExecMode::Functional)
 }
 
+fn sim() -> SimConfig {
+    SimConfig::default()
+        .with_exec_mode(mode())
+        .with_l4_bytes(8 << 20)
+}
+
 fn device() -> ApuDevice {
-    ApuDevice::new(
-        SimConfig::default()
-            .with_exec_mode(mode())
-            .with_l4_bytes(8 << 20),
-    )
+    ApuDevice::new(sim())
+}
+
+/// A one-shard, unreplicated server: the single-device case.
+fn single(st: &EmbeddingStore, cfg: ServeConfig) -> ShardedRagServer {
+    ShardedRagServer::new(st, 1, sim(), cfg).expect("server construction")
 }
 
 fn store(chunks: usize) -> EmbeddingStore {
@@ -46,16 +52,14 @@ fn store(chunks: usize) -> EmbeddingStore {
 /// Serves `queries` through a fresh device; `fault_rate > 0` arms a
 /// deterministic fault plan with bounded retries.
 fn serve(st: &EmbeddingStore, queries: &[Vec<i16>], fault_rate: f64) -> ServeReport {
-    let mut dev = device();
-    if fault_rate > 0.0 {
-        dev.inject_faults(FaultPlan::new(42).fail_task_rate(fault_rate));
-    }
-    let mut hbm = MemorySystem::new(DramSpec::hbm2e_16gb());
     let cfg = ServeConfig {
         retry: (fault_rate > 0.0).then(RetryPolicy::default),
         ..ServeConfig::default()
     };
-    let mut server = RagServer::new(&mut dev, &mut hbm, st, cfg);
+    let mut server = single(st, cfg);
+    if fault_rate > 0.0 {
+        server.inject_faults(0, FaultPlan::new(42).fail_task_rate(fault_rate));
+    }
     for (i, q) in queries.iter().enumerate() {
         server
             .submit(Duration::from_micros(20 * i as u64), q.clone())
@@ -157,10 +161,8 @@ fn poisoned_batch_member_fails_alone() {
     // Every second task check fails: with all eight queries arriving
     // together, coalesced dispatches lose alternating members while the
     // rest of the batch proceeds.
-    let mut dev = device();
-    dev.inject_faults(FaultPlan::new(1).fail_every_kth_task(2));
-    let mut hbm = MemorySystem::new(DramSpec::hbm2e_16gb());
-    let mut server = RagServer::new(&mut dev, &mut hbm, &st, ServeConfig::default());
+    let mut server = single(&st, ServeConfig::default());
+    server.inject_faults(0, FaultPlan::new(1).fail_every_kth_task(2));
     for q in &queries {
         server.submit(Duration::ZERO, q.clone()).expect("submit");
     }
@@ -195,14 +197,12 @@ fn deadline_expired_queries_never_dispatch() {
     // 32 queries arriving back-to-back against a multi-ms per-dispatch
     // service time: the backlog cannot clear within a 3 ms TTL.
     let queries: Vec<Vec<i16>> = (0..32).map(|i| st.query(i)).collect();
-    let mut dev = device();
-    let mut hbm = MemorySystem::new(DramSpec::hbm2e_16gb());
     let cfg = ServeConfig {
         max_batch: 1, // no coalescing: the backlog drains slowly
         ttl: Some(Duration::from_millis(3)),
         ..ServeConfig::default()
     };
-    let mut server = RagServer::new(&mut dev, &mut hbm, &st, cfg);
+    let mut server = single(&st, cfg);
     for (i, q) in queries.iter().enumerate() {
         server
             .submit(Duration::from_micros(i as u64), q.clone())
@@ -235,15 +235,8 @@ fn serve_sharded(
     queries: &[Vec<i16>],
     fault_shard: Option<usize>,
 ) -> ServeReport {
-    let mut server = ShardedRagServer::new(
-        st,
-        3,
-        SimConfig::default()
-            .with_exec_mode(mode())
-            .with_l4_bytes(8 << 20),
-        ServeConfig::default(),
-    )
-    .expect("cluster construction");
+    let mut server =
+        ShardedRagServer::new(st, 3, sim(), ServeConfig::default()).expect("cluster construction");
     if let Some(shard) = fault_shard {
         server.inject_faults(shard, FaultPlan::new(7).fail_every_kth_task(1));
     }

@@ -18,13 +18,12 @@
 
 use std::time::Duration;
 
-use apu_sim::{ApuDevice, ExecMode, FaultPlan, RetryPolicy, SimConfig, TraceRecorder};
-use hbm_sim::{DramSpec, MemorySystem};
-use rag::{CorpusSpec, EmbeddingStore, RagServer, ServeConfig, ShardedRagServer};
+use apu_sim::{ExecMode, FaultPlan, RetryPolicy, SimConfig, TraceRecorder};
+use rag::{CorpusSpec, EmbeddingStore, ServeConfig, ShardedRagServer};
 
-/// Runs the fixed golden workload — a 32-query open-loop stream with a
-/// deterministic 40% task-fault plan, bounded retries, and a tight TTL
-/// — in the given mode, returning the recorder.
+/// Runs the fixed golden workload — a 32-query open-loop stream on a
+/// one-shard server with a deterministic 40% task-fault plan, bounded
+/// retries, and a tight TTL — in the given mode, returning the recorder.
 fn record(mode: ExecMode) -> TraceRecorder {
     let st = EmbeddingStore::materialized(
         CorpusSpec {
@@ -33,30 +32,25 @@ fn record(mode: ExecMode) -> TraceRecorder {
         },
         7,
     );
-    let mut dev = ApuDevice::new(
-        SimConfig::default()
-            .with_exec_mode(mode)
-            .with_l4_bytes(8 << 20),
-    );
-    dev.inject_faults(FaultPlan::new(13).fail_task_rate(0.4));
+    let cfg = ServeConfig {
+        ttl: Some(Duration::from_millis(2)),
+        retry: Some(RetryPolicy::default()),
+        ..ServeConfig::default()
+    };
+    let sim = SimConfig::default()
+        .with_exec_mode(mode)
+        .with_l4_bytes(8 << 20);
+    let mut server = ShardedRagServer::new(&st, 1, sim, cfg).expect("server construction");
+    server.inject_faults(0, FaultPlan::new(13).fail_task_rate(0.4));
     let (sink, recorder) = TraceRecorder::shared();
-    dev.install_trace_sink(sink);
-    let mut hbm = MemorySystem::new(DramSpec::hbm2e_16gb());
-    {
-        let cfg = ServeConfig {
-            ttl: Some(Duration::from_millis(2)),
-            retry: Some(RetryPolicy::default()),
-            ..ServeConfig::default()
-        };
-        let mut server = RagServer::new(&mut dev, &mut hbm, &st, cfg);
-        for i in 0..32u64 {
-            server
-                .submit(Duration::from_micros(20 * i), st.query(i))
-                .expect("submit");
-        }
-        server.drain().expect("drain");
+    server.device_mut(0).install_trace_sink(sink);
+    for i in 0..32u64 {
+        server
+            .submit(Duration::from_micros(20 * i), st.query(i))
+            .expect("submit");
     }
-    dev.clear_trace_sink();
+    server.drain().expect("drain");
+    server.device_mut(0).clear_trace_sink();
     let recorder = std::rc::Rc::try_unwrap(recorder)
         .expect("device handle was cleared")
         .into_inner();

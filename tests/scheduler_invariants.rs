@@ -25,7 +25,7 @@ use apu_sim::{
     TaskSpec, VecOp,
 };
 use hbm_sim::{DramSpec, MemorySystem};
-use rag::{ApuRetriever, CorpusSpec, EmbeddingStore, RagServer, RagVariant, ServeConfig};
+use rag::{ApuRetriever, CorpusSpec, EmbeddingStore, RagVariant, ServeConfig, ShardedRagServer};
 
 /// Submits a batchable no-output job tagged with `tag` so dispatch
 /// composition is observable from the completion stream.
@@ -186,17 +186,14 @@ fn batched_hits_are_bitwise_identical_to_per_query_retrieval() {
     );
     let queries: Vec<Vec<i16>> = (0..9).map(|i| store.query(300 + i)).collect();
 
-    let mut dev = ApuDevice::new(SimConfig::default().with_l4_bytes(8 << 20));
-    let mut hbm = MemorySystem::new(DramSpec::hbm2e_16gb());
-    let report = {
-        let mut server = RagServer::new(&mut dev, &mut hbm, &store, ServeConfig::default());
-        for (i, q) in queries.iter().enumerate() {
-            server
-                .submit(Duration::from_micros(20 * i as u64), q.clone())
-                .unwrap();
-        }
-        server.drain().unwrap()
-    };
+    let sim = SimConfig::default().with_l4_bytes(8 << 20);
+    let mut server = ShardedRagServer::new(&store, 1, sim, ServeConfig::default()).unwrap();
+    for (i, q) in queries.iter().enumerate() {
+        server
+            .submit(Duration::from_micros(20 * i as u64), q.clone())
+            .unwrap();
+    }
+    let report = server.drain().unwrap();
     assert_eq!(report.completions.len(), queries.len());
     assert!(
         report.completions.iter().any(|c| c.batch_size > 1),
@@ -285,13 +282,12 @@ fn batched_drain_beats_unbatched_at_equal_offered_load() {
     // queries than cores × MAX_BATCH can absorb in one wave.
     let queries: Vec<Vec<i16>> = (0..48).map(|i| store.query(i)).collect();
     let serve = |max_batch: usize| {
-        let mut dev = ApuDevice::new(SimConfig::default().with_l4_bytes(16 << 20));
-        let mut hbm = MemorySystem::new(DramSpec::hbm2e_16gb());
+        let sim = SimConfig::default().with_l4_bytes(16 << 20);
         let cfg = ServeConfig {
             max_batch,
             ..ServeConfig::default()
         };
-        let mut server = RagServer::new(&mut dev, &mut hbm, &store, cfg);
+        let mut server = ShardedRagServer::new(&store, 1, sim, cfg).unwrap();
         for (i, q) in queries.iter().enumerate() {
             server
                 .submit(Duration::from_micros(50 * i as u64), q.clone())

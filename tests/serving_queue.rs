@@ -8,7 +8,7 @@ use std::time::Duration;
 use apu_sim::{ApuDevice, DeviceQueue, Priority, QueueConfig, SimConfig, TaskSpec, VcuStats};
 use hbm_sim::{DramSpec, MemorySystem};
 use phoenix::{histogram, OptConfig};
-use rag::{retrieve_batch, CorpusSpec, EmbeddingStore, Hit, RagServer, ServeConfig};
+use rag::{retrieve_batch, CorpusSpec, EmbeddingStore, Hit, ServeConfig, ShardedRagServer};
 
 fn store(chunks: usize) -> EmbeddingStore {
     EmbeddingStore::materialized(
@@ -126,15 +126,12 @@ fn served_queries_match_synchronous_batches_bytewise() {
     let st = store(10_000);
     let queries: Vec<Vec<i16>> = (0..8).map(|i| st.query(100 + i)).collect();
 
-    let mut dev = ApuDevice::new(SimConfig::default().with_l4_bytes(8 << 20));
-    let mut hbm = MemorySystem::new(DramSpec::hbm2e_16gb());
-    let report = {
-        let mut server = RagServer::new(&mut dev, &mut hbm, &st, ServeConfig::default());
-        for q in &queries {
-            server.submit(Duration::ZERO, q.clone()).unwrap();
-        }
-        server.drain().unwrap()
-    };
+    let sim = SimConfig::default().with_l4_bytes(8 << 20);
+    let mut server = ShardedRagServer::new(&st, 1, sim, ServeConfig::default()).unwrap();
+    for q in &queries {
+        server.submit(Duration::ZERO, q.clone()).unwrap();
+    }
+    let report = server.drain().unwrap();
 
     let mut dev2 = ApuDevice::new(SimConfig::default().with_l4_bytes(8 << 20));
     let mut hbm2 = MemorySystem::new(DramSpec::hbm2e_16gb());
