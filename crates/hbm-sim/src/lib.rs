@@ -31,4 +31,4 @@ pub mod system;
 pub use address::{AddressMap, DecodedAddr};
 pub use energy::{DramEnergy, EnergyParams};
 pub use spec::DramSpec;
-pub use system::{AccessKind, MemorySystem, StreamResult};
+pub use system::{AccessKind, MemorySystem, StreamMemoCounters, StreamResult};

@@ -2,8 +2,21 @@
 //! state, per-channel data buses, and per-rank activation windows and
 //! refresh.
 
+use std::collections::VecDeque;
+
 use crate::address::AddressMap;
 use crate::spec::DramSpec;
+
+/// Most cross-stream replay entries one [`MemorySystem`] keeps; the
+/// oldest entry is evicted first.
+const STREAM_MEMO_CAP: usize = 32;
+
+/// Transfers shorter than this many rotation windows are walked without
+/// consulting the replay memo: keying costs more than walking them.
+const STREAM_MEMO_MIN_WINDOWS: u64 = 3;
+
+/// Encoding of a closed row in the normalized state.
+const NO_ROW: u64 = u64::MAX;
 
 /// Read or write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -15,7 +28,7 @@ pub enum AccessKind {
 }
 
 /// Per-bank state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct BankState {
     open_row: Option<u64>,
     /// Earliest cycle the next command to this bank may issue.
@@ -25,7 +38,7 @@ struct BankState {
 }
 
 /// Per-(channel, rank) state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct RankState {
     /// Sliding window of recent ACT times (for tFAW).
     recent_acts: Vec<u64>,
@@ -62,6 +75,27 @@ impl SystemStats {
             self.row_hits as f64 / total as f64
         }
     }
+
+    /// Adds `k` copies of `d` to every counter.
+    fn add_scaled(&mut self, d: &SystemStats, k: u64) {
+        self.activates += k * d.activates;
+        self.reads += k * d.reads;
+        self.writes += k * d.writes;
+        self.row_hits += k * d.row_hits;
+        self.refreshes += k * d.refreshes;
+        self.bytes += k * d.bytes;
+    }
+}
+
+/// Hit/miss counters of the cross-stream replay memo (see
+/// [`MemorySystem::transfer`]). Transfers below the memo's size
+/// threshold count as neither.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StreamMemoCounters {
+    /// Transfers replayed from a memoized outcome.
+    pub hits: u64,
+    /// Transfers walked and recorded for future replay.
+    pub misses: u64,
 }
 
 /// Result of a streamed transfer.
@@ -91,10 +125,65 @@ impl StreamResult {
     }
 }
 
+/// The timing fields the per-burst controller reads, copied out of the
+/// spec once so a burst never clones the spec.
+#[derive(Debug, Clone, Copy)]
+struct Timing {
+    t_rcd: u64,
+    t_rp: u64,
+    t_ras: u64,
+    t_cl: u64,
+    t_cwl: u64,
+    t_ccd_l: u64,
+    t_rrd: u64,
+    t_faw: u64,
+    t_refi: u64,
+    t_rfc: u64,
+    burst_cycles: u64,
+    access_bytes: u64,
+    banks_per_rank: usize,
+}
+
+impl Timing {
+    fn of(spec: &DramSpec) -> Self {
+        Timing {
+            t_rcd: spec.t_rcd,
+            t_rp: spec.t_rp,
+            t_ras: spec.t_ras,
+            t_cl: spec.t_cl,
+            t_cwl: spec.t_cwl,
+            t_ccd_l: spec.t_ccd_l,
+            t_rrd: spec.t_rrd,
+            t_faw: spec.t_faw,
+            t_refi: spec.t_refi,
+            t_rfc: spec.t_rfc,
+            burst_cycles: spec.burst_cycles(),
+            access_bytes: spec.access_bytes() as u64,
+            banks_per_rank: spec.banks_per_rank(),
+        }
+    }
+}
+
+/// One memoized transfer outcome. `key` is `(kind, start_addr, bytes)`
+/// followed by the controller state normalized to the transfer's
+/// arrival; the rest is what the walk did from that state.
+#[derive(Debug)]
+struct StreamMemoEntry {
+    hash: u64,
+    key: Vec<u64>,
+    /// Completion cycle minus arrival.
+    end: u64,
+    /// Controller state after the transfer, normalized to its arrival.
+    state: Vec<u64>,
+    stats: SystemStats,
+    arrival_clips: u64,
+}
+
 /// A simulated DRAM system.
 #[derive(Debug)]
 pub struct MemorySystem {
     map: AddressMap,
+    timing: Timing,
     banks: Vec<BankState>,
     ranks: Vec<RankState>,
     /// Earliest cycle each channel's data bus is free.
@@ -109,6 +198,9 @@ pub struct MemorySystem {
     /// that comparison can flip as state advances, breaking the
     /// time-translation argument below.
     arrival_clips: u64,
+    /// Cross-stream replay memo, oldest entry first.
+    memo: VecDeque<StreamMemoEntry>,
+    memo_counters: StreamMemoCounters,
 }
 
 /// Snapshot of the full timing state at a window boundary of one
@@ -164,6 +256,9 @@ impl MemorySystem {
             stats: SystemStats::default(),
             horizon: 0,
             arrival_clips: 0,
+            memo: VecDeque::new(),
+            memo_counters: StreamMemoCounters::default(),
+            timing: Timing::of(&spec),
             map: AddressMap::new(spec),
         }
     }
@@ -183,6 +278,11 @@ impl MemorySystem {
         self.horizon
     }
 
+    /// Cross-stream replay memo activity so far.
+    pub fn memo_counters(&self) -> StreamMemoCounters {
+        self.memo_counters
+    }
+
     fn rank_key(&self, channel: usize, rank: usize) -> usize {
         channel * self.map.spec().ranks + rank
     }
@@ -195,31 +295,28 @@ impl MemorySystem {
         if next > t {
             return;
         }
-        let spec = self.map.spec().clone();
+        let tm = self.timing;
         // All elapsed refresh intervals fire at once: boundaries
         // increase monotonically, so only the last interval's recovery
         // window survives the per-bank `max`, and closing the rows is
         // idempotent — batching is state- and stats-identical to firing
         // them one by one.
-        let n = (t - next) / spec.t_refi + 1;
-        let last = next + (n - 1) * spec.t_refi;
-        let end = last + spec.t_rfc;
-        let bank_base = key * spec.banks_per_rank();
-        for b in 0..spec.banks_per_rank() {
-            let bank = &mut self.banks[bank_base + b];
+        let n = (t - next) / tm.t_refi + 1;
+        let last = next + (n - 1) * tm.t_refi;
+        let end = last + tm.t_rfc;
+        let bank_base = key * tm.banks_per_rank;
+        for bank in &mut self.banks[bank_base..bank_base + tm.banks_per_rank] {
             bank.ready_at = bank.ready_at.max(end);
             bank.open_row = None;
         }
-        self.ranks[key].next_refresh = last + spec.t_refi;
+        self.ranks[key].next_refresh = last + tm.t_refi;
         self.stats.refreshes += n;
     }
 
     /// Earliest ACT issue time at or after `t` respecting tRRD and tFAW.
     fn act_constraint(&mut self, channel: usize, rank: usize, t: u64) -> u64 {
         let key = self.rank_key(channel, rank);
-        let spec = self.map.spec();
-        let t_rrd = spec.t_rrd;
-        let t_faw = spec.t_faw;
+        let Timing { t_rrd, t_faw, .. } = self.timing;
         let rs = &mut self.ranks[key];
         let mut issue = t.max(rs.last_act + t_rrd);
         rs.recent_acts.retain(|&a| a + t_faw > issue);
@@ -245,9 +342,9 @@ impl MemorySystem {
     /// data-completion cycle.
     pub fn access(&mut self, kind: AccessKind, byte_addr: u64, arrival: u64) -> u64 {
         let d = self.map.decode(byte_addr);
-        let spec = self.map.spec().clone();
-        self.catch_up_refresh(d.channel, d.rank, arrival + spec.t_refi);
-        let flat = d.flat_bank(&spec);
+        let tm = self.timing;
+        self.catch_up_refresh(d.channel, d.rank, arrival + tm.t_refi);
+        let flat = d.flat_bank(self.map.spec());
 
         // Open the right row.
         let hit = self.banks[flat].open_row == Some(d.row);
@@ -258,46 +355,102 @@ impl MemorySystem {
         if !hit {
             if self.banks[flat].open_row.is_some() {
                 // PRE: respect tRAS since the ACT that opened the row.
-                let pre_at = cmd_ready.max(self.banks[flat].act_at + spec.t_ras);
-                cmd_ready = pre_at + spec.t_rp;
+                let pre_at = cmd_ready.max(self.banks[flat].act_at + tm.t_ras);
+                cmd_ready = pre_at + tm.t_rp;
             }
             let act_at = self.act_constraint(d.channel, d.rank, cmd_ready);
             self.note_act(d.channel, d.rank, act_at);
             self.banks[flat].open_row = Some(d.row);
             self.banks[flat].act_at = act_at;
-            cmd_ready = act_at + spec.t_rcd;
+            cmd_ready = act_at + tm.t_rcd;
         } else {
             self.stats.row_hits += 1;
         }
 
         // Column command: wait for the data bus slot.
         let lat = match kind {
-            AccessKind::Read => spec.t_cl,
-            AccessKind::Write => spec.t_cwl,
+            AccessKind::Read => tm.t_cl,
+            AccessKind::Write => tm.t_cwl,
         };
         let bus = &mut self.bus_free[d.channel];
         let issue = cmd_ready.max(bus.saturating_sub(lat));
         let data_start = (issue + lat).max(*bus);
-        let data_end = data_start + spec.burst_cycles();
+        let data_end = data_start + tm.burst_cycles;
         *bus = data_end;
         // Same-bank column spacing.
-        self.banks[flat].ready_at = issue + spec.t_ccd_l;
+        self.banks[flat].ready_at = issue + tm.t_ccd_l;
 
         match kind {
             AccessKind::Read => self.stats.reads += 1,
             AccessKind::Write => self.stats.writes += 1,
         }
-        self.stats.bytes += spec.access_bytes() as u64;
+        self.stats.bytes += tm.access_bytes;
         self.horizon = self.horizon.max(data_end);
         data_end
     }
 
     /// Reads (or writes) a contiguous byte range starting at cycle
     /// `arrival`; returns the completion cycle of the last burst.
+    ///
+    /// Transfers of at least three rotation windows go through an exact
+    /// cross-stream replay memo. Its key is `(kind, start_addr, bytes)`
+    /// plus the whole controller state normalized to `arrival` (every
+    /// time-like field as a wrapping offset from it; open rows stay
+    /// absolute). The controller's update rules are maxes of
+    /// state-plus-constant terms and comparisons against `arrival` and
+    /// `arrival + tREFI` (`bus.saturating_sub(lat)` never binds, as
+    /// `cmd_ready ≥ arrival` dominates it), so the same normalized state
+    /// yields the same timeline shifted by the arrival difference; the
+    /// lookup compares the full key, not just its hash. A hit restores the
+    /// recorded end state shifted to this arrival and adds the recorded
+    /// statistics, bit-identical to walking the transfer again.
     pub fn transfer(&mut self, kind: AccessKind, start_addr: u64, bytes: u64, arrival: u64) -> u64 {
-        let g = self.map.spec().access_bytes() as u64;
+        let g = self.timing.access_bytes;
         let first = start_addr / g;
         let last = (start_addr + bytes.max(1) - 1) / g;
+        if last + 1 - first < STREAM_MEMO_MIN_WINDOWS * self.rotation_bursts() {
+            return self.walk(kind, first, last, arrival);
+        }
+        let mut key = vec![kind as u64, start_addr, bytes];
+        self.encode_state(arrival, &mut key);
+        let hash = fnv1a(&key);
+        let mut memo = std::mem::take(&mut self.memo);
+        let end = match memo.iter().find(|e| e.hash == hash && e.key == key) {
+            Some(e) => {
+                self.memo_counters.hits += 1;
+                self.restore_state(arrival, &e.state);
+                self.stats.add_scaled(&e.stats, 1);
+                self.arrival_clips += e.arrival_clips;
+                arrival + e.end
+            }
+            None => {
+                self.memo_counters.misses += 1;
+                let (stats, clips) = (self.stats, self.arrival_clips);
+                let end = self.walk(kind, first, last, arrival);
+                let mut state = Vec::with_capacity(key.len());
+                self.encode_state(arrival, &mut state);
+                if memo.len() == STREAM_MEMO_CAP {
+                    memo.pop_front();
+                }
+                memo.push_back(StreamMemoEntry {
+                    hash,
+                    key,
+                    end: end - arrival,
+                    state,
+                    stats: Self::stats_delta(&stats, &self.stats).expect("statistics only grow"),
+                    arrival_clips: self.arrival_clips - clips,
+                });
+                end
+            }
+        };
+        self.memo = memo;
+        end
+    }
+
+    /// Walks bursts `first..=last` arriving at `arrival`; returns the
+    /// completion cycle of the last burst.
+    fn walk(&mut self, kind: AccessKind, first: u64, last: u64, arrival: u64) -> u64 {
+        let g = self.timing.access_bytes;
         // Long contiguous streams are periodic: the address map rotates
         // channel -> bank group -> bank -> column -> rank before the row
         // advances, so after `window` bursts the controller revisits the
@@ -339,6 +492,53 @@ impl MemorySystem {
             }
         }
         end
+    }
+
+    /// Appends the controller state to `out`, every time-like field as a
+    /// wrapping offset from `base` (no clamping, so a field far in the
+    /// past keeps its exact distance). Layout: horizon; per bank
+    /// (open row, ready_at, act_at); per rank (last_act, next_refresh,
+    /// recent-ACT count, recent ACTs); per channel bus_free.
+    fn encode_state(&self, base: u64, out: &mut Vec<u64>) {
+        let off = |t: u64| t.wrapping_sub(base);
+        out.push(off(self.horizon));
+        for b in &self.banks {
+            out.extend([b.open_row.unwrap_or(NO_ROW), off(b.ready_at), off(b.act_at)]);
+        }
+        for r in &self.ranks {
+            out.extend([
+                off(r.last_act),
+                off(r.next_refresh),
+                r.recent_acts.len() as u64,
+            ]);
+            out.extend(r.recent_acts.iter().map(|&t| off(t)));
+        }
+        out.extend(self.bus_free.iter().map(|&t| off(t)));
+    }
+
+    /// Inverse of [`MemorySystem::encode_state`]: sets the controller
+    /// state from `enc`, shifted to `base`.
+    fn restore_state(&mut self, base: u64, enc: &[u64]) {
+        let at = |o: u64| base.wrapping_add(o);
+        let mut words = enc.iter().copied();
+        let mut next = || words.next().expect("memoized state matches the layout");
+        self.horizon = at(next());
+        for b in &mut self.banks {
+            let row = next();
+            b.open_row = (row != NO_ROW).then_some(row);
+            b.ready_at = at(next());
+            b.act_at = at(next());
+        }
+        for r in &mut self.ranks {
+            r.last_act = at(next());
+            r.next_refresh = at(next());
+            let n = next() as usize;
+            r.recent_acts.clear();
+            r.recent_acts.extend((0..n).map(|_| at(next())));
+        }
+        for bus in &mut self.bus_free {
+            *bus = at(next());
+        }
     }
 
     /// Bursts per full address-rotation period: one visit to every
@@ -485,12 +685,7 @@ impl MemorySystem {
         for (bus, &bd) in self.bus_free.iter_mut().zip(&d.bus_free) {
             *bus += k * bd;
         }
-        self.stats.activates += k * d.stats.activates;
-        self.stats.reads += k * d.stats.reads;
-        self.stats.writes += k * d.stats.writes;
-        self.stats.row_hits += k * d.stats.row_hits;
-        self.stats.refreshes += k * d.stats.refreshes;
-        self.stats.bytes += k * d.stats.bytes;
+        self.stats.add_scaled(&d.stats, k);
         self.horizon += k * d.wall;
     }
 
@@ -518,6 +713,14 @@ impl MemorySystem {
             ns: cycles as f64 * self.map.spec().clock_ns(),
         }
     }
+}
+
+/// FNV-1a over 64-bit words: a cheap pre-filter for memo lookups (a hit
+/// still compares the full key).
+fn fnv1a(words: &[u64]) -> u64 {
+    words.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 #[cfg(test)]
@@ -671,6 +874,116 @@ mod tests {
             assert_eq!(rf.cycles, end - begin);
             assert_eq!(fast.stats(), slow.stats());
             assert_eq!(fast.horizon(), slow.horizon());
+        }
+    }
+
+    /// A small device (64-burst rotation window, so a 12 KiB memo
+    /// threshold) with a short refresh interval.
+    fn tiny_spec() -> DramSpec {
+        let mut spec = DramSpec::hbm2e_16gb();
+        spec.channels = 2;
+        spec.ranks = 2;
+        spec.bank_groups = 2;
+        spec.banks_per_group = 2;
+        spec.rows = 64;
+        spec.row_bytes = 256;
+        spec.t_refi = 700;
+        spec.t_rfc = 90;
+        spec
+    }
+
+    #[test]
+    fn repeated_streams_replay_from_the_memo() {
+        // The serving hot path: one shard slice (31.3 MB) streamed back
+        // to back. The refresh catch-up at each stream's start aligns
+        // the streams, so after two walks every stream is a replay.
+        let mut mem = MemorySystem::new(DramSpec::hbm2e_16gb());
+        let first = mem.stream_read(0, 31_300_000);
+        for _ in 1..100 {
+            mem.stream_read(0, 31_300_000);
+        }
+        let c = mem.memo_counters();
+        assert_eq!(c.hits + c.misses, 100);
+        assert!(c.misses <= 2, "{c:?}");
+        assert_eq!(mem.stats().reads, 100 * 31_300_000u64.div_ceil(64));
+        assert!(first.cycles > 0);
+    }
+
+    #[test]
+    fn stream_memo_is_per_instance() {
+        let mut warm = MemorySystem::new(DramSpec::hbm2e_16gb());
+        for _ in 0..5 {
+            warm.stream_read(0, 8 << 20);
+        }
+        assert!(warm.memo_counters().hits > 0);
+        let mut cold = MemorySystem::new(DramSpec::hbm2e_16gb());
+        assert_eq!(cold.memo_counters(), StreamMemoCounters::default());
+        cold.stream_read(0, 8 << 20);
+        assert_eq!(
+            cold.memo_counters(),
+            StreamMemoCounters { hits: 0, misses: 1 }
+        );
+    }
+
+    #[test]
+    fn short_transfers_skip_the_memo() {
+        let spec = tiny_spec();
+        let g = spec.access_bytes() as u64;
+        let threshold = STREAM_MEMO_MIN_WINDOWS * 64 * g;
+        let mut mem = MemorySystem::new(spec);
+        assert_eq!(mem.rotation_bursts(), 64);
+        for _ in 0..4 {
+            mem.stream_read(0, threshold - g);
+        }
+        assert_eq!(mem.memo_counters(), StreamMemoCounters::default());
+        assert!(mem.memo.is_empty());
+        mem.stream_read(0, threshold);
+        assert_eq!(mem.memo_counters().misses, 1);
+    }
+
+    #[test]
+    fn stream_memo_stays_within_its_cap() {
+        let spec = tiny_spec();
+        let g = spec.access_bytes() as u64;
+        let mut mem = MemorySystem::new(spec);
+        let n = STREAM_MEMO_CAP as u64 * 3;
+        for i in 0..n {
+            mem.stream_read(0, (192 + i) * g);
+            assert!(mem.memo.len() <= STREAM_MEMO_CAP);
+        }
+        assert_eq!(mem.memo.len(), STREAM_MEMO_CAP);
+        assert_eq!(
+            mem.memo_counters(),
+            StreamMemoCounters { hits: 0, misses: n }
+        );
+    }
+
+    #[test]
+    fn normalized_state_round_trips_into_a_fresh_system() {
+        // The memo key and value are the normalized encoding, so it must
+        // capture every field of the controller state: restoring it into
+        // a fresh system reproduces the original exactly, for bases
+        // before, at and after the horizon.
+        let spec = tiny_spec();
+        let g = spec.access_bytes() as u64;
+        let mut mem = MemorySystem::new(spec.clone());
+        mem.stream_read(13, 40 << 10);
+        mem.transfer(AccessKind::Write, 4_103, 20 << 10, mem.horizon() - 300);
+        for i in 0..20 {
+            // Scattered single bursts leave a mix of open and closed
+            // rows and partly filled activation windows.
+            mem.access(AccessKind::Read, i * 7_919 * g, mem.horizon() + 3 * i);
+        }
+        let h = mem.horizon();
+        for base in [0, h / 2, h, h + 5_000] {
+            let mut enc = Vec::new();
+            mem.encode_state(base, &mut enc);
+            let mut fresh = MemorySystem::new(spec.clone());
+            fresh.restore_state(base, &enc);
+            assert_eq!(fresh.horizon, mem.horizon);
+            assert_eq!(fresh.banks, mem.banks);
+            assert_eq!(fresh.ranks, mem.ranks);
+            assert_eq!(fresh.bus_free, mem.bus_free);
         }
     }
 

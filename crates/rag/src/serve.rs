@@ -52,10 +52,10 @@ use apu_sim::queue::percentile;
 use apu_sim::trace::prometheus_text;
 use apu_sim::{
     chrome_trace_json_grouped, ApuDevice, ChromeTraceSink, Completion, DeviceCluster, Error,
-    FaultPlan, Placement, Priority, QueueConfig, QueueStats, RetryPolicy, RoutePolicy, SimConfig,
-    StageBreakdown, TaskHandle, TaskSpec, TenantId, TraceEvent,
+    FaultPlan, MemoCounters, Placement, Priority, QueueConfig, QueueStats, RetryPolicy,
+    RoutePolicy, SimConfig, StageBreakdown, TaskHandle, TaskSpec, TenantId, TraceEvent,
 };
-use hbm_sim::{DramSpec, MemorySystem};
+use hbm_sim::{DramSpec, MemorySystem, StreamMemoCounters};
 
 use crate::batch::MAX_BATCH;
 use crate::corpus::EmbeddingStore;
@@ -351,6 +351,15 @@ pub struct ServeReport {
     /// Live-corpus counters as of the end of the drain (the
     /// `apu_corpus_*` series in [`ServeReport::prometheus_text`]).
     pub corpus: CorpusStats,
+    /// Kernel replay-cache counters ([`ApuDevice::memo_counters`])
+    /// summed over the server's devices since it was built (the
+    /// `apu_memo_*` series in [`ServeReport::prometheus_text`]).
+    pub memo: MemoCounters,
+    /// HBM cross-stream replay memo counters
+    /// ([`MemorySystem::memo_counters`]) summed over the server's
+    /// off-chip memories since it was built (the `apu_hbm_memo_*`
+    /// series in [`ServeReport::prometheus_text`]).
+    pub hbm_memo: StreamMemoCounters,
 }
 
 impl ServeReport {
@@ -545,6 +554,39 @@ impl ServeReport {
         for (name, kind, help, value) in corpus_series {
             out.push_str(&format!(
                 "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"
+            ));
+        }
+        let (m, h) = (&self.memo, &self.hbm_memo);
+        let memo_series: [(&str, &str, u64); 5] = [
+            (
+                "apu_memo_hits_total",
+                "Kernel dispatches replayed from the timing memo.",
+                m.hits,
+            ),
+            (
+                "apu_memo_misses_total",
+                "Kernel dispatches walked and recorded in the timing memo.",
+                m.misses,
+            ),
+            (
+                "apu_memo_bypassed_total",
+                "Kernel dispatches executed outside the timing memo.",
+                m.bypassed,
+            ),
+            (
+                "apu_hbm_memo_hits_total",
+                "HBM streams replayed from the cross-stream memo.",
+                h.hits,
+            ),
+            (
+                "apu_hbm_memo_misses_total",
+                "HBM streams walked and recorded in the cross-stream memo.",
+                h.misses,
+            ),
+        ];
+        for (name, help, value) in memo_series {
+            out.push_str(&format!(
+                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
             ));
         }
         out
@@ -1419,6 +1461,11 @@ impl ShardedRagServer {
             failover_served,
         };
         let ivf = *ivf_cell.borrow();
+        // Release the borrows of the devices and memories to read their
+        // memo counters.
+        drop(cluster);
+        drop(hbm_cells);
+        let (memo, hbm_memo) = self.memo_totals();
         Ok(ServeReport {
             completions,
             queue,
@@ -1426,7 +1473,26 @@ impl ShardedRagServer {
             replica,
             ivf,
             corpus: self.corpus.stats(),
+            memo,
+            hbm_memo,
         })
+    }
+
+    /// Kernel and HBM replay-memo counters summed over the server's
+    /// devices and off-chip memories.
+    fn memo_totals(&self) -> (MemoCounters, StreamMemoCounters) {
+        let mut memo = MemoCounters::default();
+        for m in self.devices.iter().map(ApuDevice::memo_counters) {
+            memo.hits += m.hits;
+            memo.misses += m.misses;
+            memo.bypassed += m.bypassed;
+        }
+        let mut hbm_memo = StreamMemoCounters::default();
+        for m in self.hbms.iter().map(MemorySystem::memo_counters) {
+            hbm_memo.hits += m.hits;
+            hbm_memo.misses += m.misses;
+        }
+        (memo, hbm_memo)
     }
 }
 
@@ -1454,6 +1520,47 @@ mod tests {
     /// A one-shard, unreplicated server: the single-device case.
     fn single(store: &EmbeddingStore, cfg: ServeConfig) -> ShardedRagServer {
         ShardedRagServer::new(store, 1, sim(), cfg).unwrap()
+    }
+
+    #[test]
+    fn prometheus_exports_kernel_and_hbm_memo_counters() {
+        // Timing-only with fast-forward: five full same-shape batches,
+        // each streaming the same 3 MB slice (above the HBM memo's
+        // three-window threshold), so both memos replay.
+        let store = EmbeddingStore::size_only(
+            CorpusSpec {
+                corpus_bytes: 0,
+                chunks: 4096,
+            },
+            7,
+        );
+        let sim = sim()
+            .with_exec_mode(apu_sim::ExecMode::TimingOnly)
+            .with_fast_forward(true);
+        let mut server = ShardedRagServer::new(&store, 1, sim, ServeConfig::default()).unwrap();
+        for i in 0..5 * MAX_BATCH as u64 {
+            server.submit(Duration::ZERO, store.query(i)).unwrap();
+        }
+        let report = server.drain().unwrap();
+        assert_eq!(report.served(), 5 * MAX_BATCH);
+        let text = report.prometheus_text();
+        let series = |name: &str| -> u64 {
+            let prefix = format!("{name} ");
+            let line = text
+                .lines()
+                .find(|l| l.starts_with(&prefix))
+                .unwrap_or_else(|| panic!("{name} missing"));
+            line[prefix.len()..].parse().expect("integer sample")
+        };
+        assert_eq!(series("apu_memo_hits_total"), report.memo.hits);
+        assert_eq!(series("apu_memo_misses_total"), report.memo.misses);
+        assert_eq!(series("apu_memo_bypassed_total"), report.memo.bypassed);
+        assert_eq!(series("apu_hbm_memo_hits_total"), report.hbm_memo.hits);
+        assert_eq!(series("apu_hbm_memo_misses_total"), report.hbm_memo.misses);
+        assert!(report.memo.hits > 0, "{:?}", report.memo);
+        assert_eq!(report.memo.hits + report.memo.misses, 5);
+        assert!(report.hbm_memo.hits > 0, "{:?}", report.hbm_memo);
+        assert_eq!(report.hbm_memo.hits + report.hbm_memo.misses, 5);
     }
 
     #[test]
@@ -1622,6 +1729,8 @@ mod tests {
             replica: ReplicaStats::default(),
             ivf: IvfStats::default(),
             corpus: CorpusStats::default(),
+            memo: MemoCounters::default(),
+            hbm_memo: StreamMemoCounters::default(),
         };
         assert_eq!(empty.latency_percentile(0.5), Duration::ZERO);
         assert_eq!(empty.latency_percentile(0.99), Duration::ZERO);
