@@ -193,15 +193,6 @@ impl<'d, 't> DeviceCluster<'d, 't> {
         self.nodes[shard].device_mut()
     }
 
-    /// Enables or disables timing fast-forward on every shard's device
-    /// (see [`ApuDevice::run_task_memoized`]): replayed dispatches charge
-    /// a memoized cycle total instead of re-walking their kernels.
-    pub fn set_fast_forward(&mut self, on: bool) {
-        for n in &mut self.nodes {
-            n.set_fast_forward(on);
-        }
-    }
-
     /// Total not-yet-dispatched backlog across all shards.
     pub fn pending(&self) -> usize {
         self.nodes.iter().map(DeviceQueue::pending).sum()

@@ -43,7 +43,8 @@
 //! pay the wait for stragglers), and reports the batch-wide
 //! [`TaskReport`]. Batches never mix priority classes or keys, and
 //! admission control is unaffected: capacity is consumed per submission,
-//! not per dispatch.
+//! not per dispatch. Work without a key takes the same dispatch path as
+//! a batch of one.
 //!
 //! # Failure containment
 //!
@@ -423,17 +424,15 @@ pub type BatchRunner<'t> = Box<
     dyn FnOnce(&mut ApuDevice, Vec<Box<dyn Any>>) -> Result<(TaskReport, Vec<BatchOutput>)> + 't,
 >;
 
-pub(crate) enum Work<'t> {
-    /// Dispatches alone.
-    Single(Job<'t>),
-    /// May be coalesced with same-priority, same-key neighbours. Every
-    /// member carries an equivalent `run` closure; the dispatcher uses
-    /// the first member's and drops the rest.
-    Batchable {
-        key: BatchKey,
-        payload: Box<dyn Any>,
-        run: BatchRunner<'t>,
-    },
+/// The work a submission carries: a payload and the runner that executes
+/// it. Keyed work may be coalesced with same-priority, same-key
+/// neighbours; every member carries an equivalent runner and the
+/// dispatcher uses the first member's, dropping the rest. Keyless work
+/// always dispatches alone — a single [`Job`] is a keyless batch of one.
+pub(crate) struct Work<'t> {
+    pub(crate) key: Option<BatchKey>,
+    pub(crate) payload: Box<dyn Any>,
+    pub(crate) run: BatchRunner<'t>,
 }
 
 struct Pending<'t> {
@@ -457,8 +456,8 @@ struct Pending<'t> {
     work: Work<'t>,
 }
 
-/// The scheduling attributes of a batch member, captured before its
-/// payload is consumed by the batch runner.
+/// The scheduling attributes of a dispatch member, captured before its
+/// payload is consumed by the runner.
 #[derive(Clone, Copy)]
 struct MemberMeta {
     handle: TaskHandle,
@@ -540,13 +539,6 @@ impl<'d, 't> DeviceQueue<'d, 't> {
         self.dev
     }
 
-    /// Enables or disables timing fast-forward on the underlying device
-    /// (see [`ApuDevice::run_task_memoized`]): replayed dispatches charge
-    /// a memoized cycle total instead of re-walking their kernels.
-    pub fn set_fast_forward(&mut self, on: bool) {
-        self.dev.set_fast_forward(on);
-    }
-
     /// Converts a virtual-timeline instant to device cycles, the trace
     /// clock domain.
     fn trace_ts(&self, at: Duration) -> Cycles {
@@ -620,10 +612,7 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             self.stats.batches += 1;
             self.stats.batched_tasks += weight;
         }
-        let batch_key = match &work {
-            Work::Batchable { key, .. } => Some(key.get()),
-            Work::Single(_) => None,
-        };
+        let batch_key = work.key.map(BatchKey::get);
         // Start-time fair queueing (SFQ): freeze the virtual-time tag at
         // admission. A tenant's tag advances by weight/share per admitted
         // unit, so backlogged heavy tenants accumulate tags faster and
@@ -732,16 +721,6 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             .unwrap_or(Duration::ZERO)
     }
 
-    /// An all-zero report for work that never reached the device.
-    fn empty_report() -> TaskReport {
-        TaskReport {
-            cycles: Cycles::ZERO,
-            duration: Duration::ZERO,
-            stats: VcuStats::default(),
-            cores_used: 0,
-        }
-    }
-
     /// Per-core cycle counters plus merged device stats, captured before
     /// running a job so a *failed* job's consumed device time can still
     /// be booked on the virtual timeline.
@@ -791,35 +770,7 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             }
             let task = self.pending.remove(i).expect("index is valid");
             let deadline = task.deadline.expect("task was expired by deadline");
-            let batch_key = match &task.work {
-                Work::Batchable { key, .. } => Some(*key),
-                Work::Single(_) => None,
-            };
-            self.stats.expired += task.weight;
-            self.stats
-                .per_tenant
-                .entry(task.tenant.get())
-                .or_default()
-                .expired += task.weight;
-            self.completions.push(Completion {
-                handle: task.handle,
-                priority: task.priority,
-                tenant: task.tenant,
-                submitted_at: task.arrival,
-                started_at: deadline,
-                finished_at: deadline,
-                batch_size: task.weight as usize,
-                dispatch: None,
-                batch_key,
-                attempts: task.attempt,
-                report: Self::empty_report(),
-                outcome: TaskOutcome::Failed(Error::DeadlineExceeded { deadline }),
-            });
-            let deadline_cycles = self.trace_ts(deadline);
-            self.emit_with(deadline, || TraceEventKind::TaskExpired {
-                handle: task.handle.0,
-                deadline: deadline_cycles,
-            });
+            self.retire_undispatched(task, deadline, Error::DeadlineExceeded { deadline });
             shed_any = true;
         }
         shed_any
@@ -880,36 +831,7 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             let Some(idx) = victim else { break };
             let task = self.pending.remove(idx).expect("victim index is valid");
             let at = task.eligible.max(horizon);
-            let batch_key = match &task.work {
-                Work::Batchable { key, .. } => Some(*key),
-                Work::Single(_) => None,
-            };
-            self.stats.shed_admission += task.weight;
-            self.stats
-                .per_tenant
-                .entry(task.tenant.get())
-                .or_default()
-                .shed += task.weight;
-            let e = Error::AdmissionShed { backlog, watermark };
-            let error_text = e.to_string();
-            self.completions.push(Completion {
-                handle: task.handle,
-                priority: task.priority,
-                tenant: task.tenant,
-                submitted_at: task.arrival,
-                started_at: at,
-                finished_at: at,
-                batch_size: task.weight as usize,
-                dispatch: None,
-                batch_key,
-                attempts: task.attempt,
-                report: Self::empty_report(),
-                outcome: TaskOutcome::Failed(e),
-            });
-            self.emit_with(at, || TraceEventKind::TaskFailed {
-                handle: task.handle.0,
-                error: error_text,
-            });
+            self.retire_undispatched(task, at, Error::AdmissionShed { backlog, watermark });
             shed_any = true;
         }
         shed_any
@@ -930,13 +852,7 @@ impl<'d, 't> DeviceQueue<'d, 't> {
     pub fn step(&mut self) -> Result<Option<&Completion>> {
         let shed_expired = self.shed_expired();
         let shed = self.shed_admission_backlog() || shed_expired;
-        let retired = match self.select() {
-            Some(idx) => match self.pending[idx].work {
-                Work::Single(_) => self.dispatch_single(idx)?,
-                Work::Batchable { .. } => self.dispatch_batch(idx)?,
-            },
-            None => false,
-        };
+        let retired = self.select().is_some_and(|idx| self.dispatch(idx));
         if retired || shed {
             Ok(self.completions.last())
         } else {
@@ -965,42 +881,6 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             self.core_free_at[i] = finish;
         }
         (start, finish, order)
-    }
-
-    /// Emits the [`TraceEventKind::DispatchIssued`] span for a dispatch
-    /// just booked via [`DeviceQueue::occupy`].
-    #[allow(clippy::too_many_arguments)]
-    fn emit_dispatch(
-        &self,
-        dispatch: u64,
-        start: Duration,
-        finish: Duration,
-        cores: &[usize],
-        members: &[TaskHandle],
-        tasks: u64,
-        batch_key: Option<BatchKey>,
-    ) {
-        let (start_cycles, finish_cycles) = (self.trace_ts(start), self.trace_ts(finish));
-        self.emit_with(start, || TraceEventKind::DispatchIssued {
-            dispatch,
-            start: start_cycles,
-            finish: finish_cycles,
-            cores: cores.to_vec(),
-            members: members.iter().map(|h| h.0).collect(),
-            tasks,
-            batch_key: batch_key.map(BatchKey::get),
-        });
-    }
-
-    /// Emits the [`TraceEventKind::TaskRetired`] marker for one member of
-    /// a dispatch, at the dispatch's finish time.
-    fn emit_retire(&self, handle: TaskHandle, dispatch: u64, at: Duration, error: Option<String>) {
-        self.emit_with(at, || TraceEventKind::TaskRetired {
-            handle: handle.0,
-            dispatch,
-            ok: error.is_none(),
-            error,
-        });
     }
 
     /// Books one successful completion — latency counters, reservoir
@@ -1036,50 +916,38 @@ impl<'d, 't> DeviceQueue<'d, 't> {
         t.stage_device += stages.device * weight as u32;
     }
 
-    /// Books a failed (never-completed) task against its tenant.
-    fn book_tenant_failure(&mut self, tenant: TenantId, weight: u64) {
-        self.stats
-            .per_tenant
-            .entry(tenant.get())
-            .or_default()
-            .failed += weight;
-    }
-
-    /// Contains a pre-dispatch failure (the fault gate fired before the
-    /// job ran): re-queues the task with backoff when the configured
-    /// retry policy still has budget, otherwise retires it as a `Failed`
-    /// completion that never reached the device. Returns whether a
-    /// completion was retired.
-    fn contain_predispatch_failure(&mut self, idx: usize, e: Error) -> Result<bool> {
-        let horizon = self.horizon();
-        let retryable = self.cfg.retry.is_some_and(|policy| {
-            e.is_transient() && self.pending[idx].attempt < policy.max_retries
-        });
-        if retryable {
-            let policy = self.cfg.retry.expect("checked above");
-            let p = &mut self.pending[idx];
-            let decided_at = p.eligible.max(horizon);
-            p.eligible = decided_at + policy.delay(p.attempt);
-            p.attempt += 1;
-            self.stats.retries += 1;
-            let (handle, attempt, eligible) = (p.handle.0, p.attempt, p.eligible);
-            let eligible_cycles = self.trace_ts(eligible);
-            self.emit_with(decided_at, || TraceEventKind::TaskRetried {
-                handle,
-                attempt,
-                eligible: eligible_cycles,
-            });
-            return Ok(false);
+    /// Retires a task that never reached the device as a `Failed`
+    /// completion at `at`, counting it by cause: a passed deadline as
+    /// expired, an admission shed as shed, anything else (the fault
+    /// gate) as failed.
+    fn retire_undispatched(&mut self, task: Pending<'t>, at: Duration, e: Error) {
+        let (stats, weight) = (&mut self.stats, task.weight);
+        let tenant = stats.per_tenant.entry(task.tenant.get()).or_default();
+        match e {
+            Error::DeadlineExceeded { .. } => {
+                stats.expired += weight;
+                tenant.expired += weight;
+            }
+            Error::AdmissionShed { .. } => {
+                stats.shed_admission += weight;
+                tenant.shed += weight;
+            }
+            _ => {
+                stats.failed += weight;
+                tenant.failed += weight;
+            }
         }
-        let task = self.pending.remove(idx).expect("index is valid");
-        let at = task.eligible.max(horizon);
-        let batch_key = match &task.work {
-            Work::Batchable { key, .. } => Some(*key),
-            Work::Single(_) => None,
-        };
-        self.stats.failed += task.weight;
-        self.book_tenant_failure(task.tenant, task.weight);
-        let error_text = e.to_string();
+        let handle = task.handle.0;
+        self.emit_with(at, || match &e {
+            Error::DeadlineExceeded { deadline } => TraceEventKind::TaskExpired {
+                handle,
+                deadline: self.trace_ts(*deadline),
+            },
+            e => TraceEventKind::TaskFailed {
+                handle,
+                error: e.to_string(),
+            },
+        });
         self.completions.push(Completion {
             handle: task.handle,
             priority: task.priority,
@@ -1087,209 +955,52 @@ impl<'d, 't> DeviceQueue<'d, 't> {
             submitted_at: task.arrival,
             started_at: at,
             finished_at: at,
-            batch_size: task.weight as usize,
+            batch_size: weight as usize,
             dispatch: None,
-            batch_key,
-            attempts: task.attempt + 1,
-            report: Self::empty_report(),
+            batch_key: task.work.key,
+            attempts: task.attempt,
+            report: TaskReport {
+                cycles: Cycles::ZERO,
+                duration: Duration::ZERO,
+                stats: VcuStats::default(),
+                cores_used: 0,
+            },
             outcome: TaskOutcome::Failed(e),
         });
-        self.emit_with(at, || TraceEventKind::TaskFailed {
-            handle: task.handle.0,
-            error: error_text,
-        });
-        Ok(true)
     }
 
-    fn dispatch_single(&mut self, idx: usize) -> Result<bool> {
-        if let Some(e) = self.dev.fault_check_task(None) {
-            let at = self.pending[idx].eligible.max(self.horizon());
-            let seq = self.dev.fault_counts().tasks_injected;
-            self.emit_with(at, || TraceEventKind::FaultInjected {
-                scope: FaultScope::Task,
-                seq,
-            });
-            return self.contain_predispatch_failure(idx, e);
-        }
-        let task = self.pending.remove(idx).expect("selected index is valid");
-        let Work::Single(job) = task.work else {
-            unreachable!("dispatch_single is only called on single work");
-        };
-        self.advance_virtual_clock(task.vstart);
-        let snap = self.device_snapshot();
-        match job(self.dev) {
-            Ok((report, value)) => {
-                let (start, finish, cores) =
-                    self.occupy(report.cores_used, task.eligible, report.duration);
-                let dispatch = self.next_dispatch;
-                self.next_dispatch += 1;
-                self.stats.dispatches += 1;
-                self.stats.dispatched_tasks += task.weight;
-                self.stats.max_batch_size = self.stats.max_batch_size.max(task.weight);
-                self.stats.busy += report.duration * cores.len() as u32;
-                self.stats.makespan = self.stats.makespan.max(finish);
-                self.book_success(
-                    task.tenant,
-                    start - task.arrival,
-                    report.duration,
-                    finish - task.arrival,
-                    &report.stats,
-                    task.weight,
-                );
-                self.emit_dispatch(
-                    dispatch,
-                    start,
-                    finish,
-                    &cores,
-                    &[task.handle],
-                    task.weight,
-                    None,
-                );
-                self.emit_retire(task.handle, dispatch, finish, None);
-
-                self.completions.push(Completion {
-                    handle: task.handle,
-                    priority: task.priority,
-                    tenant: task.tenant,
-                    submitted_at: task.arrival,
-                    started_at: start,
-                    finished_at: finish,
-                    batch_size: task.weight as usize,
-                    dispatch: Some(dispatch),
-                    batch_key: None,
-                    attempts: task.attempt + 1,
-                    report,
-                    outcome: TaskOutcome::Ok(value),
-                });
-            }
-            Err(e) => {
-                // The job consumed device time before failing; book that
-                // time on the timeline so failures still cost throughput.
-                let report = self.failed_report(snap);
-                let (start, finish, cores) =
-                    self.occupy(report.cores_used, task.eligible, report.duration);
-                let dispatch = self.next_dispatch;
-                self.next_dispatch += 1;
-                self.stats.dispatches += 1;
-                self.stats.dispatched_tasks += task.weight;
-                self.stats.failed += task.weight;
-                self.book_tenant_failure(task.tenant, task.weight);
-                self.stats.busy += report.duration * cores.len() as u32;
-                self.stats.makespan = self.stats.makespan.max(finish);
-                self.emit_dispatch(
-                    dispatch,
-                    start,
-                    finish,
-                    &cores,
-                    &[task.handle],
-                    task.weight,
-                    None,
-                );
-                self.emit_retire(task.handle, dispatch, finish, Some(e.to_string()));
-
-                self.completions.push(Completion {
-                    handle: task.handle,
-                    priority: task.priority,
-                    tenant: task.tenant,
-                    submitted_at: task.arrival,
-                    started_at: start,
-                    finished_at: finish,
-                    batch_size: task.weight as usize,
-                    dispatch: Some(dispatch),
-                    batch_key: None,
-                    attempts: task.attempt + 1,
-                    report,
-                    outcome: TaskOutcome::Failed(e),
-                });
-            }
-        }
-        Ok(true)
-    }
-
-    fn dispatch_batch(&mut self, idx: usize) -> Result<bool> {
-        let (head_priority, head_key, head_arrival) = {
-            let head = &self.pending[idx];
-            let Work::Batchable { key, .. } = &head.work else {
-                unreachable!("dispatch_batch is only called on batchable work");
-            };
-            (head.priority, *key, head.arrival)
-        };
+    /// Dispatches the task at `idx` as one device job and returns whether
+    /// a completion retired. A keyed task gathers its batch first (see
+    /// [`DeviceQueue::gather`]); a keyless task dispatches alone — a
+    /// single job is a keyless batch of one. Each member then passes the
+    /// fault gate individually: a poisoned member fails (or retries)
+    /// alone while its healthy siblings still ride together. The runner
+    /// executes the survivors' payloads and the dispatch is booked.
+    fn dispatch(&mut self, idx: usize) -> bool {
         let horizon = self.horizon();
-        let window_close = head_arrival.max(horizon) + self.cfg.max_batch_wait;
-
-        // Gather every compatible job of the head's (priority, key)
-        // class arriving inside the window, then pick `max_batch` of
-        // them: FIFO in submission order under the default policy,
-        // earliest-deadline-first under [`SchedPolicy::SloAware`] (so a
-        // full window sheds slack from the members that can afford it,
-        // not from whoever happened to submit last).
-        let mut member_idx: Vec<usize> = Vec::new();
-        for (i, p) in self.pending.iter().enumerate() {
-            let compatible = p.priority == head_priority
-                && matches!(&p.work, Work::Batchable { key, .. } if *key == head_key)
-                && p.arrival <= window_close;
-            if compatible {
-                member_idx.push(i);
-            }
-        }
-        if self.cfg.scheduler == SchedPolicy::SloAware {
-            member_idx.sort_by_key(|&i| {
-                let p = &self.pending[i];
-                (p.deadline.unwrap_or(Duration::MAX), i)
-            });
-        }
-        member_idx.truncate(self.cfg.max_batch.max(1));
-        let window_close_cycles = self.trace_ts(window_close);
-        self.emit_with(head_arrival.max(horizon), || TraceEventKind::BatchFormed {
-            key: head_key.get(),
-            members: member_idx
-                .iter()
-                .map(|&i| self.pending[i].handle.0)
-                .collect(),
-            window_close: window_close_cycles,
-        });
-
-        // Remove back-to-front so earlier indices stay valid, then
-        // restore the chosen membership order (which may differ from
-        // index order under EDF gathering).
-        let mut removal = member_idx.clone();
-        removal.sort_unstable();
-        let mut extracted: Vec<(usize, Pending<'t>)> = Vec::with_capacity(removal.len());
-        for &i in removal.iter().rev() {
-            extracted.push((i, self.pending.remove(i).expect("member index is valid")));
-        }
-        let mut members: Vec<Pending<'t>> = Vec::with_capacity(member_idx.len());
-        for &i in &member_idx {
-            let pos = extracted
-                .iter()
-                .position(|(j, _)| *j == i)
-                .expect("every chosen index was extracted");
-            members.push(extracted.remove(pos).1);
-        }
-
-        // Fault-gate each member individually: a poisoned member fails
-        // (or retries) alone while its healthy siblings still ride
-        // together. A retried member rejoins at the back of the backlog,
-        // giving up its FIFO spot for this batch.
+        let key = self.pending[idx].work.key;
+        let members = match key {
+            Some(key) => self.gather(idx, key, horizon),
+            None => vec![self.pending.remove(idx).expect("selected index is valid")],
+        };
         let mut retired_any = false;
         let mut payloads = Vec::with_capacity(members.len());
         let mut runner: Option<BatchRunner<'t>> = None;
         let mut meta: Vec<MemberMeta> = Vec::with_capacity(members.len());
         let mut latest_eligible = Duration::ZERO;
         for mut m in members {
-            if let Some(e) = self.dev.fault_check_task(Some(head_key)) {
-                let gate_at = m.eligible.max(horizon);
+            let gate_at = m.eligible.max(horizon);
+            if let Some(e) = self.dev.fault_check_task(key) {
                 let seq = self.dev.fault_counts().tasks_injected;
                 self.emit_with(gate_at, || TraceEventKind::FaultInjected {
                     scope: FaultScope::Task,
                     seq,
                 });
-                let retryable = self
+                let retry = self
                     .cfg
                     .retry
-                    .is_some_and(|policy| e.is_transient() && m.attempt < policy.max_retries);
-                if retryable {
-                    let policy = self.cfg.retry.expect("checked above");
+                    .filter(|policy| e.is_transient() && m.attempt < policy.max_retries);
+                if let Some(policy) = retry {
                     m.eligible = gate_at + policy.delay(m.attempt);
                     m.attempt += 1;
                     self.stats.retries += 1;
@@ -1300,41 +1011,23 @@ impl<'d, 't> DeviceQueue<'d, 't> {
                         attempt,
                         eligible: eligible_cycles,
                     });
-                    self.pending.push_back(m);
+                    // A retried keyless task keeps its backlog slot; a
+                    // retried batch member rejoins at the back, giving
+                    // up its FIFO spot for this batch.
+                    if key.is_some() {
+                        self.pending.push_back(m);
+                    } else {
+                        self.pending.insert(idx, m);
+                    }
                 } else {
-                    let at = gate_at;
-                    self.stats.failed += m.weight;
-                    self.book_tenant_failure(m.tenant, m.weight);
-                    let error_text = e.to_string();
-                    self.completions.push(Completion {
-                        handle: m.handle,
-                        priority: m.priority,
-                        tenant: m.tenant,
-                        submitted_at: m.arrival,
-                        started_at: at,
-                        finished_at: at,
-                        batch_size: m.weight as usize,
-                        dispatch: None,
-                        batch_key: Some(head_key),
-                        attempts: m.attempt + 1,
-                        report: Self::empty_report(),
-                        outcome: TaskOutcome::Failed(e),
-                    });
-                    self.emit_with(at, || TraceEventKind::TaskFailed {
-                        handle: m.handle.0,
-                        error: error_text,
-                    });
+                    m.attempt += 1;
+                    self.retire_undispatched(m, gate_at, e);
                     retired_any = true;
                 }
                 continue;
             }
-            let Work::Batchable { payload, run, .. } = m.work else {
-                unreachable!("members are filtered to batchable work");
-            };
-            payloads.push(payload);
-            if runner.is_none() {
-                runner = Some(run);
-            }
+            payloads.push(m.work.payload);
+            runner.get_or_insert(m.work.run);
             latest_eligible = latest_eligible.max(m.eligible);
             self.advance_virtual_clock(m.vstart);
             meta.push(MemberMeta {
@@ -1346,88 +1039,97 @@ impl<'d, 't> DeviceQueue<'d, 't> {
                 weight: m.weight,
             });
         }
-        let n = meta.len();
         let Some(run) = runner else {
             // Every member was poisoned or re-queued for retry.
-            return Ok(retired_any);
+            return retired_any;
         };
 
+        // A runner-level failure (or a malformed output arity) fails
+        // every member of the dispatch together, booking the device
+        // time the dispatch actually consumed.
+        let n = meta.len();
         let snap = self.device_snapshot();
-        let run_result = run(self.dev, payloads);
-
-        // Runner-level failure (or a malformed output arity) fails every
-        // member of this dispatch together, booking the device time the
-        // batch actually consumed.
-        let e = match run_result {
-            Ok((report, outputs)) if outputs.len() == n => {
-                self.book_batch(&meta, head_key, latest_eligible, report, outputs);
-                return Ok(true);
+        let (report, outputs) = match run(self.dev, payloads) {
+            Ok((report, outputs)) if outputs.len() == n => (report, outputs),
+            result => {
+                let e = match result {
+                    Ok((_, outputs)) => Error::TaskFailed(format!(
+                        "batch runner returned {} outputs for {n} members",
+                        outputs.len()
+                    )),
+                    Err(e) => e,
+                };
+                let outputs = (0..n).map(|_| Err(e.clone())).collect();
+                (self.failed_report(snap), outputs)
             }
-            Ok((_, outputs)) => Error::TaskFailed(format!(
-                "batch runner returned {} outputs for {n} members",
-                outputs.len()
-            )),
-            Err(e) => e,
         };
-        let report = self.failed_report(snap);
-        let (start, finish, cores) =
-            self.occupy(report.cores_used, latest_eligible, report.duration);
-        let total_weight: u64 = meta.iter().map(|m| m.weight).sum();
-        let dispatch = self.next_dispatch;
-        self.next_dispatch += 1;
-        self.stats.dispatches += 1;
-        self.stats.dispatched_tasks += total_weight;
-        self.stats.max_batch_size = self.stats.max_batch_size.max(total_weight);
-        self.stats.busy += report.duration * cores.len() as u32;
-        self.stats.makespan = self.stats.makespan.max(finish);
-        let handles: Vec<TaskHandle> = meta.iter().map(|m| m.handle).collect();
-        self.emit_dispatch(
-            dispatch,
-            start,
-            finish,
-            &cores,
-            &handles,
-            total_weight,
-            Some(head_key),
-        );
-        for m in meta {
-            self.stats.failed += m.weight;
-            self.book_tenant_failure(m.tenant, m.weight);
-            self.emit_retire(m.handle, dispatch, finish, Some(e.to_string()));
-            self.completions.push(Completion {
-                handle: m.handle,
-                priority: m.priority,
-                tenant: m.tenant,
-                submitted_at: m.arrival,
-                started_at: start,
-                finished_at: finish,
-                batch_size: total_weight as usize,
-                dispatch: Some(dispatch),
-                batch_key: Some(head_key),
-                attempts: m.attempt + 1,
-                report: report.clone(),
-                outcome: TaskOutcome::Failed(e.clone()),
-            });
-        }
-        Ok(true)
+        self.book_dispatch(&meta, key, latest_eligible, report, outputs);
+        true
     }
 
-    /// Books a successful batch dispatch on the timeline and fans its
-    /// per-member outputs back out as completions. A member whose
-    /// [`BatchOutput`] is `Err` retires as a `Failed` completion while
+    /// Removes and returns the batch headed by the keyed task at `idx`:
+    /// every pending task of its (priority, key) class arriving within
+    /// [`QueueConfig::max_batch_wait`] of the dispatch opportunity, up to
+    /// [`QueueConfig::max_batch`] of them — FIFO in submission order
+    /// under the default policy, earliest-deadline-first under
+    /// [`SchedPolicy::SloAware`] (so a full window sheds slack from the
+    /// members that can afford it, not from whoever submitted last).
+    fn gather(&mut self, idx: usize, key: BatchKey, horizon: Duration) -> Vec<Pending<'t>> {
+        let (priority, arrival) = (self.pending[idx].priority, self.pending[idx].arrival);
+        let window_close = arrival.max(horizon) + self.cfg.max_batch_wait;
+        let mut member_idx: Vec<usize> = Vec::new();
+        for (i, p) in self.pending.iter().enumerate() {
+            if p.priority == priority && p.work.key == Some(key) && p.arrival <= window_close {
+                member_idx.push(i);
+            }
+        }
+        if self.cfg.scheduler == SchedPolicy::SloAware {
+            member_idx.sort_by_key(|&i| {
+                let p = &self.pending[i];
+                (p.deadline.unwrap_or(Duration::MAX), i)
+            });
+        }
+        member_idx.truncate(self.cfg.max_batch.max(1));
+        let window_close_cycles = self.trace_ts(window_close);
+        self.emit_with(arrival.max(horizon), || TraceEventKind::BatchFormed {
+            key: key.get(),
+            members: member_idx
+                .iter()
+                .map(|&i| self.pending[i].handle.0)
+                .collect(),
+            window_close: window_close_cycles,
+        });
+
+        // Remove back-to-front so earlier indices stay valid, then
+        // restore the chosen membership order (which may differ from
+        // index order under EDF gathering).
+        let mut ranks: Vec<usize> = (0..member_idx.len()).collect();
+        ranks.sort_unstable_by_key(|&r| std::cmp::Reverse(member_idx[r]));
+        let mut members: Vec<Option<Pending<'t>>> = member_idx.iter().map(|_| None).collect();
+        for r in ranks {
+            members[r] = self.pending.remove(member_idx[r]);
+        }
+        members
+            .into_iter()
+            .map(|m| m.expect("member index is valid"))
+            .collect()
+    }
+
+    /// Books one device dispatch on the virtual timeline — it cannot
+    /// start before `not_before`, its last member's eligibility — and
+    /// fans the per-member outputs back out as completions: each member
+    /// keeps its own arrival and is charged the shared start and finish.
+    /// A member whose [`BatchOutput`] is `Err` retires as `Failed` while
     /// its siblings succeed.
-    fn book_batch(
+    fn book_dispatch(
         &mut self,
         meta: &[MemberMeta],
-        head_key: BatchKey,
-        latest_eligible: Duration,
+        key: Option<BatchKey>,
+        not_before: Duration,
         report: TaskReport,
         outputs: Vec<BatchOutput>,
     ) {
-        // One device dispatch for the whole batch; it cannot start
-        // before its last member became eligible.
-        let (start, finish, cores) =
-            self.occupy(report.cores_used, latest_eligible, report.duration);
+        let (start, finish, cores) = self.occupy(report.cores_used, not_before, report.duration);
         let total_weight: u64 = meta.iter().map(|m| m.weight).sum();
         let dispatch = self.next_dispatch;
         self.next_dispatch += 1;
@@ -1436,40 +1138,41 @@ impl<'d, 't> DeviceQueue<'d, 't> {
         self.stats.max_batch_size = self.stats.max_batch_size.max(total_weight);
         self.stats.busy += report.duration * cores.len() as u32;
         self.stats.makespan = self.stats.makespan.max(finish);
-        let handles: Vec<TaskHandle> = meta.iter().map(|m| m.handle).collect();
-        self.emit_dispatch(
+        let (start_cycles, finish_cycles) = (self.trace_ts(start), self.trace_ts(finish));
+        self.emit_with(start, || TraceEventKind::DispatchIssued {
             dispatch,
-            start,
-            finish,
-            &cores,
-            &handles,
-            total_weight,
-            Some(head_key),
-        );
-
-        // Fan the completions back out: each member keeps its own
-        // arrival and is charged the shared start/finish.
+            start: start_cycles,
+            finish: finish_cycles,
+            cores,
+            members: meta.iter().map(|m| m.handle.0).collect(),
+            tasks: total_weight,
+            batch_key: key.map(BatchKey::get),
+        });
         for (m, output) in meta.iter().zip(outputs) {
-            let outcome = match output {
-                Ok(value) => {
-                    self.book_success(
-                        m.tenant,
-                        start - m.arrival,
-                        report.duration,
-                        finish - m.arrival,
-                        &report.stats,
-                        m.weight,
-                    );
-                    self.emit_retire(m.handle, dispatch, finish, None);
-                    TaskOutcome::Ok(value)
-                }
-                Err(e) => {
+            match &output {
+                Ok(_) => self.book_success(
+                    m.tenant,
+                    start - m.arrival,
+                    report.duration,
+                    finish - m.arrival,
+                    &report.stats,
+                    m.weight,
+                ),
+                Err(_) => {
                     self.stats.failed += m.weight;
-                    self.book_tenant_failure(m.tenant, m.weight);
-                    self.emit_retire(m.handle, dispatch, finish, Some(e.to_string()));
-                    TaskOutcome::Failed(e)
+                    self.stats
+                        .per_tenant
+                        .entry(m.tenant.get())
+                        .or_default()
+                        .failed += m.weight;
                 }
-            };
+            }
+            self.emit_with(finish, || TraceEventKind::TaskRetired {
+                handle: m.handle.0,
+                dispatch,
+                ok: output.is_ok(),
+                error: output.as_ref().err().map(ToString::to_string),
+            });
             self.completions.push(Completion {
                 handle: m.handle,
                 priority: m.priority,
@@ -1479,10 +1182,13 @@ impl<'d, 't> DeviceQueue<'d, 't> {
                 finished_at: finish,
                 batch_size: total_weight as usize,
                 dispatch: Some(dispatch),
-                batch_key: Some(head_key),
+                batch_key: key,
                 attempts: m.attempt + 1,
                 report: report.clone(),
-                outcome,
+                outcome: match output {
+                    Ok(value) => TaskOutcome::Ok(value),
+                    Err(e) => TaskOutcome::Failed(e),
+                },
             });
         }
     }
@@ -2239,5 +1945,24 @@ mod tests {
         assert_eq!(first_batch.len(), 2);
         assert!(first_batch.contains(&urgent) && first_batch.contains(&middling));
         assert!(!first_batch.contains(&slack));
+    }
+
+    #[test]
+    fn failed_dispatch_counts_toward_max_batch_size() {
+        // Every dispatch is booked the same way, so a weighted job that
+        // fails still records its size.
+        let mut dev = device();
+        let mut q = DeviceQueue::new(&mut dev, QueueConfig::default());
+        q.submit(
+            TaskSpec::job(Box::new(|_: &mut ApuDevice| {
+                Err(Error::TaskFailed("boom".into()))
+            }))
+            .weight(3),
+        )
+        .unwrap();
+        let done = q.drain().unwrap();
+        assert!(done[0].is_failed());
+        assert_eq!(done[0].dispatch, Some(0));
+        assert_eq!(q.stats().max_batch_size, 3);
     }
 }

@@ -149,9 +149,17 @@ impl<'t> TaskSpec<'t> {
     }
 
     /// A spec around a boxed raw [`Job`] (defaults: `Normal` priority,
-    /// arrival now, tenant 0, no deadline, weight 1, unpinned).
+    /// arrival now, tenant 0, no deadline, weight 1, unpinned). The job
+    /// dispatches as a keyless batch of one.
     pub fn job(job: Job<'t>) -> Self {
-        Self::with_work(Work::Single(job))
+        Self::with_work(Work {
+            key: None,
+            payload: Box::new(()),
+            run: Box::new(move |dev, _| {
+                let (report, value) = job(dev)?;
+                Ok((report, vec![Ok(value)]))
+            }),
+        })
     }
 
     /// A spec around a job with a typed output, boxing it for the
@@ -185,7 +193,11 @@ impl<'t> TaskSpec<'t> {
     /// `payload` is the member's contribution and `run` executes the
     /// whole batch (replaces `submit_batchable`).
     pub fn batch(key: BatchKey, payload: Box<dyn Any>, run: BatchRunner<'t>) -> Self {
-        Self::with_work(Work::Batchable { key, payload, run })
+        Self::with_work(Work {
+            key: Some(key),
+            payload,
+            run,
+        })
     }
 
     /// Sets the [`Priority`] class (default `Normal`).
@@ -247,10 +259,7 @@ impl<'t> TaskSpec<'t> {
 
     /// The batch-compatibility key, for batchable specs.
     pub fn batch_key(&self) -> Option<BatchKey> {
-        match &self.work {
-            Work::Batchable { key, .. } => Some(*key),
-            Work::Single(_) => None,
-        }
+        self.work.key
     }
 }
 

@@ -8,9 +8,9 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use apu_sim::{
-    ApuDevice, BatchKey, Cycles, DeviceCluster, DeviceQueue, DeviceTiming, Error, ExecMode,
-    FaultPlan, Placement, Priority, QueueConfig, RetryPolicy, RoutePolicy, SimConfig, TaskSpec,
-    TraceRecorder, VecOp, Vmr,
+    AdmissionControl, ApuDevice, BatchKey, Cycles, DeviceCluster, DeviceQueue, DeviceTiming, Error,
+    ExecMode, FaultPlan, Placement, Priority, QueueConfig, RetryPolicy, RoutePolicy, SimConfig,
+    TaskSpec, TraceRecorder, VecOp, Vmr,
 };
 
 /// Table 5 measured column (cycles per 32K-element vector command).
@@ -537,4 +537,209 @@ fn tracing_adds_zero_virtual_time() {
         (stats, timeline)
     };
     assert_eq!(run(false), run(true));
+}
+
+/// FNV-1a (64-bit) over a byte string: the cross-commit pin for a
+/// recorded timeline.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+const KEY_A: BatchKey = BatchKey::new(1);
+const KEY_B: BatchKey = BatchKey::new(2);
+/// Member id that poisons a whole dispatch: a key-A runner carrying it
+/// returns `Err`, a key-B runner returns one output too few.
+const POISON: u64 = 99;
+
+/// A batch member of `key` carrying `id`. The runner charges one
+/// multiply per member, fails members whose id is 3 mod 7 individually,
+/// and fails the whole dispatch when [`POISON`] rides along.
+fn golden_member(key: BatchKey, id: u64) -> TaskSpec<'static> {
+    TaskSpec::batch(
+        key,
+        Box::new(id),
+        Box::new(
+            move |dev: &mut ApuDevice, payloads: Vec<Box<dyn std::any::Any>>| {
+                let ids: Vec<u64> = payloads
+                    .iter()
+                    .map(|p| *p.downcast_ref::<u64>().expect("u64 payload"))
+                    .collect();
+                let report = dev.run_task(|ctx| {
+                    for _ in &ids {
+                        ctx.core_mut().charge(VecOp::ExpF16);
+                    }
+                    Ok(())
+                })?;
+                if ids.contains(&POISON) {
+                    if key == KEY_A {
+                        return Err(Error::TaskFailed("poisoned batch".into()));
+                    }
+                    return Ok((report, Vec::new()));
+                }
+                let outputs = ids
+                    .iter()
+                    .map(|&id| {
+                        if id % 7 == 3 {
+                            Err(Error::TaskFailed(format!("member {id} failed")))
+                        } else {
+                            Ok(Box::new(id) as Box<dyn std::any::Any>)
+                        }
+                    })
+                    .collect();
+                Ok((report, outputs))
+            },
+        ),
+    )
+}
+
+/// A single-core kernel charging `n` exponentials.
+fn golden_kernel(n: usize) -> TaskSpec<'static> {
+    TaskSpec::kernel(move |ctx| {
+        for _ in 0..n {
+            ctx.core_mut().charge(VecOp::ExpF16);
+        }
+        Ok(())
+    })
+}
+
+/// A fixed [`DeviceQueue`] workload covering every retirement path:
+/// kernel, typed and raw jobs mixed with two batch keys (weights > 1),
+/// a job and a runner returning `Err`, a runner with the wrong output
+/// count, a TTL expiry, admission shedding, and a fault plan under a
+/// bounded [`RetryPolicy`] that retries a keyless task and a batch
+/// member and exhausts one budget. Returns the trace signature and the
+/// drained completions.
+fn run_queue_workload(mode: ExecMode) -> (String, Vec<apu_sim::Completion>) {
+    let mut dev = ApuDevice::new(
+        SimConfig::default()
+            .with_l4_bytes(1 << 20)
+            .with_cores(2)
+            .with_exec_mode(mode),
+    );
+    let (sink, recorder) = TraceRecorder::shared();
+    dev.install_trace_sink(sink);
+    dev.inject_faults(
+        FaultPlan::new(5)
+            .fail_every_kth_task(4)
+            .fail_batch_key_times(KEY_B, 5),
+    );
+    let cfg = QueueConfig::default()
+        .with_max_batch(3)
+        .with_max_batch_wait(Duration::from_micros(30))
+        .with_retry(RetryPolicy {
+            max_retries: 1,
+            backoff: Duration::from_micros(20),
+            multiplier: 2.0,
+        })
+        .with_admission(AdmissionControl::new(5, 64));
+    let mut q = DeviceQueue::new(&mut dev, cfg);
+    let us = Duration::from_micros;
+    let mut specs = vec![
+        golden_kernel(1).at(us(0)),
+        TaskSpec::typed(|dev: &mut ApuDevice| {
+            let r = dev.run_task(|ctx| {
+                ctx.core_mut().charge(VecOp::DivS16);
+                Ok(())
+            })?;
+            Ok((r, 7u32))
+        })
+        .weight(3)
+        .at(us(1)),
+        TaskSpec::job(Box::new(|dev: &mut ApuDevice| {
+            dev.run_task(|ctx| {
+                ctx.core_mut().charge(VecOp::MulS16);
+                Ok(())
+            })?;
+            Err(Error::TaskFailed("job gave up".into()))
+        }))
+        .at(us(2)),
+    ];
+    for id in 0..8u64 {
+        let key = if id % 2 == 0 { KEY_A } else { KEY_B };
+        specs.push(golden_member(key, id).weight(1 + id % 3).at(us(3 + 5 * id)));
+    }
+    for i in 0..6u64 {
+        specs.push(golden_kernel(2).priority(Priority::Low).at(us(60 + i)));
+    }
+    specs.push(golden_kernel(1).at(us(70)).ttl(us(1)));
+    specs.push(golden_member(KEY_A, 10).at(us(150)));
+    specs.push(golden_member(KEY_A, POISON).at(us(151)));
+    specs.push(golden_member(KEY_B, 11).at(us(400)));
+    specs.push(golden_member(KEY_B, POISON).at(us(401)));
+    for i in 0..4u64 {
+        specs.push(
+            golden_kernel(1)
+                .priority(Priority::High)
+                .at(us(500 + 10 * i)),
+        );
+    }
+    for spec in specs {
+        q.submit(spec).expect("submission");
+    }
+    let done = q.drain().expect("drain");
+    drop(q);
+    dev.clear_trace_sink();
+    let signature = recorder.borrow().signature();
+    (signature, done)
+}
+
+/// The pinned projection of a run: the trace signature plus each
+/// completion's handle, start, finish, dispatch, key, attempts and
+/// outcome.
+fn queue_timeline(signature: &str, done: &[apu_sim::Completion]) -> String {
+    let mut out = signature.to_owned();
+    for c in done {
+        out.push_str(&format!(
+            "{} {} {} {:?} {:?} {} {}\n",
+            c.handle.id(),
+            c.started_at.as_nanos(),
+            c.finished_at.as_nanos(),
+            c.dispatch,
+            c.batch_key.map(BatchKey::get),
+            c.attempts,
+            c.is_ok(),
+        ));
+    }
+    out
+}
+
+/// FNV-1a of [`queue_timeline`] for the queue workload; both execution
+/// modes produce the same timeline.
+const QUEUE_TIMELINE_FNV: u64 = 0x4b81_7fee_d83f_2abf;
+
+/// The queue workload's timeline, pinned across commits: any change to
+/// dispatch order, timestamps or retirement bookkeeping moves the hash.
+/// The constant was recorded by running this test against the
+/// two-path dispatcher that preceded the unified one.
+#[test]
+fn queue_workload_timeline_is_pinned() {
+    for mode in [ExecMode::Functional, ExecMode::TimingOnly] {
+        let (signature, done) = run_queue_workload(mode);
+        let failed = |pred: &dyn Fn(&apu_sim::Completion, &Error) -> bool| {
+            done.iter().any(|c| c.error().is_some_and(|e| pred(c, e)))
+        };
+        // The workload reaches every retirement path it claims to.
+        assert!(failed(&|_, e| matches!(e, Error::DeadlineExceeded { .. })));
+        assert!(failed(&|_, e| matches!(e, Error::AdmissionShed { .. })));
+        assert!(failed(&|c, e| c.batch_key.is_none()
+            && c.dispatch.is_some()
+            && e.to_string().contains("job gave up")));
+        assert!(failed(&|_, e| e.to_string().contains("poisoned batch")));
+        assert!(failed(&|_, e| e.to_string().contains("outputs for")));
+        assert!(failed(&|c, e| c.dispatch.is_none()
+            && c.attempts == 2
+            && matches!(e, Error::FaultInjected(_))));
+        for keyed in [false, true] {
+            assert!(done
+                .iter()
+                .any(|c| c.is_ok() && c.attempts == 2 && c.batch_key.is_some() == keyed));
+        }
+        let hash = fnv1a64(queue_timeline(&signature, &done).as_bytes());
+        assert_eq!(
+            hash, QUEUE_TIMELINE_FNV,
+            "{mode:?} queue timeline drifted: {hash:#018x}"
+        );
+    }
 }

@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use apu_sim::{FaultPlan, RetryPolicy, SimConfig};
+use apu_sim::{FaultPlan, QueueConfig, RetryPolicy, SimConfig};
 use rag::{CorpusSpec, EmbeddingStore, Hit, ServeConfig, ServeReport, ShardedRagServer};
 
 /// One serving scenario: `queries` arrive `gap` apart on the virtual
@@ -34,7 +34,10 @@ fn serve(
 ) -> ServeReport {
     let cfg = ServeConfig {
         max_batch,
-        retry: (fault_rate > 0.0).then(RetryPolicy::default),
+        queue: QueueConfig {
+            retry: (fault_rate > 0.0).then(RetryPolicy::default),
+            ..QueueConfig::default()
+        },
         ..ServeConfig::default()
     };
     let sim = SimConfig::default().with_l4_bytes(16 << 20);

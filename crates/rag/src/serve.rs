@@ -52,8 +52,8 @@ use apu_sim::queue::percentile;
 use apu_sim::trace::prometheus_text;
 use apu_sim::{
     chrome_trace_json_grouped, ApuDevice, ChromeTraceSink, Completion, DeviceCluster, Error,
-    FaultPlan, MemoCounters, Placement, Priority, QueueConfig, QueueStats, RetryPolicy,
-    RoutePolicy, SimConfig, StageBreakdown, TaskHandle, TaskSpec, TenantId, TraceEvent,
+    FaultPlan, MemoCounters, Placement, Priority, QueueConfig, QueueStats, RoutePolicy, SimConfig,
+    StageBreakdown, TaskHandle, TaskSpec, TenantId, TraceEvent,
 };
 use hbm_sim::{DramSpec, MemorySystem, StreamMemoCounters};
 
@@ -77,7 +77,9 @@ pub struct ServeConfig {
     /// A batch closes when the next query arrives later than this after
     /// the batch's first query (bounds batching-induced latency).
     pub batch_window: Duration,
-    /// Command-queue configuration (admission control bound).
+    /// Command-queue configuration: admission control bound and retry
+    /// policy ([`QueueConfig::with_retry`]). Its batching bounds are
+    /// replaced by `max_batch` and `batch_window`.
     pub queue: QueueConfig,
     /// Priority retrieval batches are submitted at.
     pub priority: Priority,
@@ -86,9 +88,6 @@ pub struct ServeConfig {
     /// (graceful degradation under overload). `None` disables shedding.
     /// A per-query TTL ([`QuerySpec::ttl`]) overrides this default.
     pub ttl: Option<Duration>,
-    /// Bounded retry-with-backoff for transiently faulted queries.
-    /// `None` disables retries.
-    pub retry: Option<RetryPolicy>,
     /// Tail-latency hedging: when set, every
     /// shard fan-out task gets a speculative **hedge copy** submitted
     /// this long after the primary's arrival at [`Priority::High`] with
@@ -135,7 +134,6 @@ impl Default for ServeConfig {
             queue: QueueConfig::default(),
             priority: Priority::Normal,
             ttl: None,
-            retry: None,
             hedge: None,
             replicas: 1,
             index: IndexMode::Flat,
@@ -1017,15 +1015,12 @@ impl ShardedRagServer {
         let k = self.cfg.k;
         let n_shards = self.corpus.shard_count();
         let n_devices = self.devices.len();
-        let mut queue_cfg = self
+        let queue_cfg = self
             .cfg
             .queue
             .clone()
             .with_max_batch(self.cfg.max_batch.clamp(1, MAX_BATCH))
             .with_max_batch_wait(self.cfg.batch_window);
-        if let Some(policy) = self.cfg.retry {
-            queue_cfg = queue_cfg.with_retry(policy);
-        }
         let hedge = self.cfg.hedge;
         let default_priority = self.cfg.priority;
         let default_ttl = self.cfg.ttl;

@@ -134,7 +134,7 @@ fn main() -> Result<(), apu_sim::Error> {
     let degraded = {
         let cfg = ServeConfig {
             ttl: Some(Duration::from_millis(2)),
-            retry: Some(RetryPolicy {
+            queue: QueueConfig::default().with_retry(RetryPolicy {
                 max_retries: 1,
                 ..RetryPolicy::default()
             }),

@@ -35,7 +35,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
-use apu_sim::{ExecMode, FaultPlan, RetryPolicy, SimConfig};
+use apu_sim::{ExecMode, FaultPlan, QueueConfig, RetryPolicy, SimConfig};
 use proptest::prelude::*;
 use rag::cpu::dot;
 use rag::{
@@ -294,7 +294,7 @@ fn bounded_retry_outlasts_a_transient_compaction_fault() {
         sim(ExecMode::Functional),
         ServeConfig {
             k,
-            retry: Some(RetryPolicy {
+            queue: QueueConfig::default().with_retry(RetryPolicy {
                 max_retries: 3,
                 backoff: Duration::from_micros(50),
                 multiplier: 2.0,
@@ -358,7 +358,7 @@ fn a_failed_compaction_never_degrades_queries_and_is_rerequestable() {
         sim(ExecMode::Functional),
         ServeConfig {
             k,
-            retry: Some(RetryPolicy {
+            queue: QueueConfig::default().with_retry(RetryPolicy {
                 max_retries: 1,
                 backoff: Duration::from_micros(40),
                 multiplier: 2.0,

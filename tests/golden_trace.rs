@@ -18,7 +18,7 @@
 
 use std::time::Duration;
 
-use apu_sim::{ExecMode, FaultPlan, RetryPolicy, SimConfig, TraceRecorder};
+use apu_sim::{ExecMode, FaultPlan, QueueConfig, RetryPolicy, SimConfig, TraceRecorder};
 use rag::{CorpusSpec, EmbeddingStore, ServeConfig, ShardedRagServer};
 
 /// Runs the fixed golden workload — a 32-query open-loop stream on a
@@ -34,7 +34,7 @@ fn record(mode: ExecMode) -> TraceRecorder {
     );
     let cfg = ServeConfig {
         ttl: Some(Duration::from_millis(2)),
-        retry: Some(RetryPolicy::default()),
+        queue: QueueConfig::default().with_retry(RetryPolicy::default()),
         ..ServeConfig::default()
     };
     let sim = SimConfig::default()
@@ -56,6 +56,34 @@ fn record(mode: ExecMode) -> TraceRecorder {
         .into_inner();
     assert!(!recorder.is_empty(), "the workload must emit events");
     recorder
+}
+
+/// FNV-1a (64-bit) over a byte string: the cross-commit pin for a
+/// recorded trace.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// FNV-1a of the golden workload's [`TraceRecorder::signature`]; both
+/// execution modes record the same trace.
+const GOLDEN_TRACE_FNV: u64 = 0xc171_a388_6a5b_371c;
+
+/// The golden workload's trace, pinned across commits: the replay test
+/// below only compares two runs of the same build, so a deterministic
+/// change to the event order would pass it. The constant was recorded
+/// by running this test against the two-path queue dispatcher that
+/// preceded the unified one.
+#[test]
+fn recorded_traces_match_the_pinned_hash() {
+    for mode in [ExecMode::Functional, ExecMode::TimingOnly] {
+        let hash = fnv1a64(record(mode).signature().as_bytes());
+        assert_eq!(
+            hash, GOLDEN_TRACE_FNV,
+            "{mode:?} golden trace drifted: {hash:#018x}"
+        );
+    }
 }
 
 /// Same seed, same workload, same mode → byte-identical trace,

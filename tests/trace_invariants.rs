@@ -48,7 +48,10 @@ fn serve_traced(
     let st = store(4_096);
     let cfg = ServeConfig {
         ttl,
-        retry: (fault_rate > 0.0).then(RetryPolicy::default),
+        queue: QueueConfig {
+            retry: (fault_rate > 0.0).then(RetryPolicy::default),
+            ..QueueConfig::default()
+        },
         ..ServeConfig::default()
     };
     let mut server = ShardedRagServer::new(&st, 1, sim(), cfg).expect("server construction");
