@@ -110,9 +110,8 @@ pub fn generate(n_points: usize, k: usize, dims: usize, iters: usize, seed: u64)
 /// Assigns every point of `input` to its nearest centroid (squared
 /// Euclidean distance, ties toward the lower cluster id), parallelized
 /// over `threads`. This is the assignment step of
-/// [`cpu`] / [`cpu_mt`], exposed so other trainers — e.g. the IVF
-/// index builder in the `rag` crate — can partition a full dataset
-/// against centroids fitted on a subsample.
+/// [`cpu`] / [`cpu_mt`], public so a dataset can be partitioned
+/// against centroids fitted on a subsample of it.
 pub fn assign_points(input: &KmeansInput, centroids: &[Vec<u16>], threads: usize) -> Vec<u16> {
     let n = input.n_points();
     let points: Vec<usize> = (0..n).collect();

@@ -5,10 +5,17 @@
 //! flat search), which caps the servable corpus per device. An IVF
 //! index trades a bounded amount of recall for a large scan reduction:
 //!
-//! 1. **Train** — the corpus is partitioned into `nlist` clusters with
-//!    the paper's own k-means ([`phoenix::kmeans`], the Phoenix
-//!    workload) fitted on a subsample and swept over the full corpus;
-//!    each cluster's embeddings are copied into a *contiguous* slice so
+//! 1. **Train** — the corpus is partitioned into `nlist` clusters by
+//!    Lloyd's k-means, run directly on the store's point-major rows:
+//!    fitted on a stride subsample (a list of row indices), then swept
+//!    over the full corpus. Each distance is one contiguous
+//!    row-against-row loop, the layout lesson of the paper's opt3 (lay
+//!    the data out the way its consumer reads it). The integer
+//!    semantics are those of the Phoenix CPU baseline
+//!    (`phoenix::kmeans::cpu_mt`: ties to the lower cluster, floored
+//!    means of the shifted values, empty clusters keep their
+//!    centroid), so the partition is the one that baseline computes.
+//!    Each cluster's embeddings are copied into a *contiguous* slice so
 //!    the existing batch kernel can stream it unchanged.
 //! 2. **Probe** — at query time the `nlist` centroids form a miniature
 //!    corpus that is scanned **on-device** with the very same batched
@@ -39,7 +46,6 @@
 
 use apu_sim::{ApuDevice, TaskReport, TraceEventKind};
 use hbm_sim::MemorySystem;
-use phoenix::kmeans::{self, KmeansInput};
 
 use crate::apu::RetrievalBreakdown;
 use crate::batch::retrieve_batch;
@@ -60,7 +66,7 @@ pub const DEFAULT_NPROBE: usize = 2;
 /// corpus for the final partition.
 const TRAIN_SUBSAMPLE: usize = 16 * 1024;
 
-/// Lloyd iterations for the trainer.
+/// Lloyd iterations on the training subsample.
 const TRAIN_ITERS: usize = 4;
 
 /// How a retrieval is executed: exact flat scan (the paper's path) or
@@ -166,18 +172,20 @@ pub struct IvfIndex {
 
 impl IvfIndex {
     /// Builds an index with (up to) `nlist` clusters. Materialized
-    /// stores are trained with k-means; size-only stores (timing-only
-    /// paper-scale runs) get a synthetic even partition with identical
-    /// shape, so the data-independent cost model still holds.
+    /// stores are trained with k-means (their embeddings must lie in
+    /// the `±EMBED_MAX` band, as every store the crate builds does);
+    /// size-only stores (timing-only paper-scale runs) get a synthetic
+    /// even partition with identical shape, so the data-independent
+    /// cost model still holds.
     ///
     /// `nlist` is clamped to `1..=chunks` (an empty store gets one
-    /// empty cluster), mirroring the degenerate-input contract of
-    /// [`EmbeddingStore::shards`].
+    /// empty cluster with a zero centroid), mirroring the
+    /// degenerate-input contract of [`EmbeddingStore::shards`].
     pub fn build(store: &EmbeddingStore, nlist: usize) -> Self {
         let chunks = store.spec().chunks;
         let nlist = nlist.clamp(1, chunks.max(1));
         if store.is_materialized() {
-            Self::train(store, nlist)
+            Self::train(store, nlist, TRAIN_SUBSAMPLE)
         } else {
             Self::synthetic(store, nlist)
         }
@@ -198,47 +206,70 @@ impl IvfIndex {
         self.clusters[c].store.spec().chunks
     }
 
+    /// Original chunk ids of cluster `c`, in cluster-local order.
+    pub fn cluster_ids(&self, c: usize) -> &[u32] {
+        &self.clusters[c].ids
+    }
+
     /// The centroid probe corpus (one "chunk" per cluster).
     pub fn centroid_store(&self) -> &EmbeddingStore {
         &self.centroids
     }
 
-    fn train(store: &EmbeddingStore, nlist: usize) -> Self {
+    /// Lloyd's algorithm on the store's point-major rows: [`TRAIN_ITERS`]
+    /// iterations on a deterministic stride sample of at most `cap`
+    /// rows, then one sweep of the full corpus for the final partition.
+    fn train(store: &EmbeddingStore, nlist: usize, cap: usize) -> Self {
         let chunks = store.spec().chunks;
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4);
 
-        // Full corpus, dimension-major, shifted into u16 (−6..=6 → 0..=12);
-        // squared-Euclidean assignment is shift-invariant, so the partition
-        // is the same one the raw embeddings would produce.
-        let mut coords = vec![vec![0u16; chunks]; EMBED_DIM];
-        for c in 0..chunks {
-            let e = store.embedding(c);
-            for (d, col) in coords.iter_mut().enumerate() {
-                col[c] = (e[d] + EMBED_MAX) as u16;
+        // Initial centroid `c` is sample point `c % take`; with no point
+        // at all (an empty store) the lone centroid stays zero.
+        let take = chunks.min(cap);
+        let sample: Vec<usize> = (0..take).map(|i| i * chunks / take).collect();
+        let mut centroids = vec![0i16; nlist * EMBED_DIM];
+        if take > 0 {
+            for (c, cent) in centroids.chunks_exact_mut(EMBED_DIM).enumerate() {
+                cent.copy_from_slice(store.embedding(sample[c % take]));
             }
         }
-        let full = KmeansInput {
-            coords,
-            k: nlist,
-            iters: 0,
-        };
 
-        // Fit on a deterministic stride subsample, sweep the full corpus.
-        let take = chunks.clamp(1, TRAIN_SUBSAMPLE);
-        let sample: Vec<usize> = (0..take).map(|i| i * chunks / take).collect();
-        let train_input = KmeansInput {
-            coords: full
-                .coords
-                .iter()
-                .map(|col| sample.iter().map(|&p| col[p]).collect())
-                .collect(),
-            k: nlist,
-            iters: TRAIN_ITERS,
-        };
-        let fitted = kmeans::cpu_mt(&train_input, threads);
-        let assignments = kmeans::assign_points(&full, &fitted.centroids, threads);
+        let mut assignments = vec![0u32; take];
+        for _ in 0..TRAIN_ITERS {
+            assign(store, &sample, &centroids, &mut assignments, threads);
+            // Floored means of the values shifted to 0..=2·EMBED_MAX, as
+            // the Phoenix baseline computes them (a signed mean would
+            // round toward zero and differ). They stay in band, so the
+            // probe scan's device scores are exact 16-bit inner products.
+            // An empty cluster keeps its centroid.
+            let mut sums = vec![0u64; nlist * EMBED_DIM];
+            let mut counts = vec![0u64; nlist];
+            for (&p, &a) in sample.iter().zip(&assignments) {
+                let a = a as usize;
+                counts[a] += 1;
+                let sum = &mut sums[a * EMBED_DIM..(a + 1) * EMBED_DIM];
+                for (s, &x) in sum.iter_mut().zip(store.embedding(p)) {
+                    *s += (x + EMBED_MAX) as u64;
+                }
+            }
+            for ((cent, sum), &n) in centroids
+                .chunks_exact_mut(EMBED_DIM)
+                .zip(sums.chunks_exact(EMBED_DIM))
+                .zip(&counts)
+            {
+                for (v, &s) in cent.iter_mut().zip(sum) {
+                    if let Some(mean) = s.checked_div(n) {
+                        *v = mean as i16 - EMBED_MAX;
+                    }
+                }
+            }
+        }
+
+        let all: Vec<usize> = (0..chunks).collect();
+        let mut assignments = vec![0u32; chunks];
+        assign(store, &all, &centroids, &mut assignments, threads);
 
         // Gather each cluster's embeddings into a contiguous slice.
         let mut ids: Vec<Vec<u32>> = vec![Vec::new(); nlist];
@@ -260,14 +291,8 @@ impl IvfIndex {
             })
             .collect();
 
-        // Centroid means of in-band coordinates stay in band, so the
-        // probe scan's device scores are exact 16-bit inner products.
-        let mut cdata = Vec::with_capacity(nlist * EMBED_DIM);
-        for cent in &fitted.centroids {
-            cdata.extend(cent.iter().map(|&v| v as i16 - EMBED_MAX));
-        }
         IvfIndex {
-            centroids: EmbeddingStore::from_embeddings(0, cdata, store.seed()),
+            centroids: EmbeddingStore::from_embeddings(0, centroids, store.seed()),
             clusters,
             source_chunks: chunks,
         }
@@ -417,6 +442,55 @@ fn proportional_bytes(spec: &CorpusSpec, len: usize) -> u64 {
     }
 }
 
+/// Writes the nearest centroid of chunk `points[i]` to `out[i]`,
+/// sweeping disjoint slices of `points` on scoped threads.
+fn assign(
+    store: &EmbeddingStore,
+    points: &[usize],
+    centroids: &[i16],
+    out: &mut [u32],
+    threads: usize,
+) {
+    let per = points.len().div_ceil(threads.max(1)).max(1);
+    std::thread::scope(|s| {
+        for (points, out) in points.chunks(per).zip(out.chunks_mut(per)) {
+            s.spawn(move || {
+                for (&p, o) in points.iter().zip(out) {
+                    *o = nearest(store.embedding(p), centroids);
+                }
+            });
+        }
+    });
+}
+
+/// Index of the centroid closest to `x` in squared Euclidean distance;
+/// ties go to the lower index.
+fn nearest(x: &[i16], centroids: &[i16]) -> u32 {
+    let mut best = i32::MAX;
+    let mut best_c = 0;
+    for (c, cent) in centroids.chunks_exact(EMBED_DIM).enumerate() {
+        let dist = sq_dist(x, cent);
+        if dist < best {
+            best = dist;
+            best_c = c;
+        }
+    }
+    best_c as u32
+}
+
+/// Squared Euclidean distance of two in-band rows. Differences of
+/// in-band values fit `i16` and 384 squares fit `i32`, so the sum is
+/// exact.
+fn sq_dist(a: &[i16], b: &[i16]) -> i32 {
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| {
+            let d = i32::from(x - y);
+            d * d
+        })
+        .sum()
+}
+
 /// Flat-scan reference (`top_k` of exact dot products) used by the
 /// recall harness and inline tests.
 #[cfg(test)]
@@ -524,6 +598,22 @@ mod tests {
     }
 
     #[test]
+    fn empty_store_builds_one_empty_cluster() {
+        let store = EmbeddingStore::from_embeddings(0, vec![], 1);
+        let index = IvfIndex::build(&store, 8);
+        assert_eq!(index.nlist(), 1);
+        assert_eq!(index.cluster_len(0), 0);
+        assert_eq!(index.source_chunks(), 0);
+        assert_eq!(index.centroid_store().raw(), &[0i16; EMBED_DIM][..]);
+        let (mut dev, mut hbm) = setup();
+        let search = index
+            .search_batch(&mut dev, &mut hbm, &[store.query(0)], 5, 1)
+            .unwrap();
+        assert!(search.hits[0].is_empty());
+        assert_eq!(search.stats.clusters_scanned, 0);
+    }
+
+    #[test]
     fn nlist_is_clamped_to_chunk_count() {
         let corpus = clustered(16, 2, 3);
         let index = IvfIndex::build(&corpus.store, 1000);
@@ -534,5 +624,122 @@ mod tests {
                 .sum::<usize>(),
             16
         );
+    }
+
+    /// The trainer as it was before it ran on point-major rows: the
+    /// store transposed into a shifted dimension-major
+    /// [`phoenix::kmeans::KmeansInput`], fitted on the stride sample
+    /// with `kmeans::cpu_mt` and swept with `kmeans::assign_points`.
+    /// Returns the centroid rows and every cluster's ids.
+    fn kmeans_reference(
+        store: &EmbeddingStore,
+        nlist: usize,
+        cap: usize,
+    ) -> (Vec<i16>, Vec<Vec<u32>>) {
+        use phoenix::kmeans::{self, KmeansInput};
+        let chunks = store.spec().chunks;
+        let mut coords = vec![vec![0u16; chunks]; EMBED_DIM];
+        for c in 0..chunks {
+            for (d, col) in coords.iter_mut().enumerate() {
+                col[c] = (store.embedding(c)[d] + EMBED_MAX) as u16;
+            }
+        }
+        let take = chunks.clamp(1, cap);
+        let sample: Vec<usize> = (0..take).map(|i| i * chunks / take).collect();
+        let train_input = KmeansInput {
+            coords: coords
+                .iter()
+                .map(|col| sample.iter().map(|&p| col[p]).collect())
+                .collect(),
+            k: nlist,
+            iters: TRAIN_ITERS,
+        };
+        let fitted = kmeans::cpu_mt(&train_input, 3);
+        let full = KmeansInput {
+            coords,
+            k: nlist,
+            iters: 0,
+        };
+        let mut ids = vec![Vec::new(); nlist];
+        for (c, a) in kmeans::assign_points(&full, &fitted.centroids, 3)
+            .into_iter()
+            .enumerate()
+        {
+            ids[a as usize].push(c as u32);
+        }
+        let centroids = fitted
+            .centroids
+            .iter()
+            .flatten()
+            .map(|&v| v as i16 - EMBED_MAX)
+            .collect();
+        (centroids, ids)
+    }
+
+    /// `rows` distinct embeddings repeated to `chunks` chunks, so more
+    /// clusters than distinct rows leaves some of them empty.
+    fn repeated(rows: usize, chunks: usize, seed: u64) -> EmbeddingStore {
+        let distinct = clustered(rows, 2, seed).store;
+        let data = (0..chunks)
+            .flat_map(|c| distinct.embedding(c % rows).to_vec())
+            .collect();
+        EmbeddingStore::from_embeddings(0, data, seed)
+    }
+
+    #[test]
+    fn trainer_matches_the_kmeans_reference() {
+        let cases = [
+            // (store, nlist, subsample cap)
+            (clustered(97, 4, 1).store, 1, TRAIN_SUBSAMPLE),
+            (clustered(97, 4, 2).store, 97, TRAIN_SUBSAMPLE),
+            (clustered(301, 8, 3).store, 8, TRAIN_SUBSAMPLE),
+            (clustered(301, 8, 4).store, 13, 64),
+            (clustered(515, 16, 5).store, 16, 100),
+            (
+                EmbeddingStore::materialized(
+                    CorpusSpec {
+                        corpus_bytes: 0,
+                        chunks: 203,
+                    },
+                    6,
+                ),
+                7,
+                50,
+            ),
+            (repeated(5, 41, 7), 16, TRAIN_SUBSAMPLE),
+            (repeated(3, 77, 8), 9, 20),
+        ];
+        let mut empty_clusters = 0;
+        for (store, nlist, cap) in &cases {
+            let index = IvfIndex::train(store, *nlist, *cap);
+            let (centroids, ids) = kmeans_reference(store, *nlist, *cap);
+            let case = format!("chunks={} nlist={nlist} cap={cap}", store.spec().chunks);
+            assert_eq!(index.centroid_store().raw(), &centroids[..], "{case}");
+            assert_eq!(index.nlist(), *nlist, "{case}");
+            for (c, want) in ids.iter().enumerate() {
+                assert_eq!(index.cluster_ids(c), &want[..], "{case} cluster {c}");
+                empty_clusters += usize::from(want.is_empty());
+            }
+        }
+        assert!(empty_clusters > 0, "the grid must keep some cluster empty");
+    }
+
+    #[test]
+    fn assignment_is_independent_of_the_thread_count() {
+        // 299 = 13 · 23 chunks: no thread count below 13 divides it.
+        let store = clustered(299, 8, 9).store;
+        let index = IvfIndex::build(&store, 8);
+        let centroids = index.centroid_store().raw();
+        let points: Vec<usize> = (0..299).rev().collect();
+        let mut serial = vec![0u32; points.len()];
+        assign(&store, &points, centroids, &mut serial, 1);
+        for threads in 2..=7 {
+            let mut out = vec![u32::MAX; points.len()];
+            assign(&store, &points, centroids, &mut out, threads);
+            assert_eq!(out, serial, "threads={threads}");
+        }
+        for (&p, &a) in points.iter().zip(&serial) {
+            assert!(index.cluster_ids(a as usize).contains(&(p as u32)));
+        }
     }
 }

@@ -222,6 +222,72 @@ fn recall_at_10_meets_the_bench_floor_on_a_clustered_corpus() {
     );
 }
 
+/// FNV-1a (64-bit) over a byte string: the cross-commit pin for a
+/// trained partition.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// FNV-1a of the pinned corpus's embeddings (little-endian `i16`s).
+const PINNED_CORPUS_FNV: u64 = 0x7540_7caa_8360_fe8a;
+
+/// FNV-1a of the trained partition: the centroid rows (little-endian
+/// `i16`s), then per cluster its length and its original chunk ids
+/// (little-endian `u32`s). Recorded before the trainer moved from
+/// `phoenix::kmeans` onto the store's point-major rows.
+const IVF_PARTITION_FNV: u64 = 0xdf51_36a8_844c_d5ef;
+
+/// Cross-commit pin of the IVF trainer: the same clustered corpus must
+/// train the same centroids and the same partition, bit for bit, as the
+/// recorded one. A change that only reorders the integer arithmetic
+/// passes; one that moves a single chunk or centroid value fails. The
+/// corpus hash is checked first, so a change to the corpus generator
+/// (or to the `rand` it draws from) is told apart from a change to the
+/// trainer.
+#[test]
+fn ivf_partition_is_pinned() {
+    let corpus = ClusteredCorpus::new(
+        CorpusSpec {
+            corpus_bytes: 0,
+            chunks: 8192,
+        },
+        64,
+        1,
+        7,
+    );
+    let raw: Vec<u8> = corpus
+        .store
+        .raw()
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    assert_eq!(
+        fnv1a64(&raw),
+        PINNED_CORPUS_FNV,
+        "the corpus generator changed, not the trainer"
+    );
+
+    let index = IvfIndex::build(&corpus.store, DEFAULT_NLIST);
+    let mut bytes: Vec<u8> = index
+        .centroid_store()
+        .raw()
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    for c in 0..index.nlist() {
+        let ids = index.cluster_ids(c);
+        bytes.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+        bytes.extend(ids.iter().flat_map(|id| id.to_le_bytes()));
+    }
+    let hash = fnv1a64(&bytes);
+    assert_eq!(
+        hash, IVF_PARTITION_FNV,
+        "IVF partition hash {hash:#018x} drifted from the recorded partition"
+    );
+}
+
 /// Same-seed determinism on the CI axes: two identical IVF serves —
 /// same corpus seed, same stream, same shard/replica/mode axes — must
 /// produce byte-identical results: per-query hit lists and the full
