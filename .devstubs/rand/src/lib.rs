@@ -1,7 +1,8 @@
 //! Offline dev stub of the `rand` 0.8 API surface this workspace uses:
 //! `StdRng::seed_from_u64`, `Rng::gen_range`, `Rng::gen::<f64>()`.
 //! Backed by SplitMix64; deterministic but NOT stream-compatible with
-//! the real crate. Local typecheck/test use only; never committed.
+//! the real crate. Patched in by `.cargo/config.toml` for offline
+//! builds.
 
 use std::ops::{Range, RangeInclusive};
 

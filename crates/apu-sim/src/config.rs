@@ -23,18 +23,6 @@ impl ExecMode {
     pub fn is_functional(self) -> bool {
         matches!(self, ExecMode::Functional)
     }
-
-    /// Resolves the mode from the `APU_SIM_TEST_MODE` environment
-    /// variable (`functional` or `timing`/`timing-only`), falling back to
-    /// `default` when unset or unrecognized. The CI matrix uses this to
-    /// run the same test suites in both simulator modes.
-    pub fn from_env(default: ExecMode) -> ExecMode {
-        match std::env::var("APU_SIM_TEST_MODE").as_deref() {
-            Ok("functional") => ExecMode::Functional,
-            Ok("timing") | Ok("timing-only") | Ok("timing_only") => ExecMode::TimingOnly,
-            _ => default,
-        }
-    }
 }
 
 /// Static configuration of a simulated APU platform.
@@ -71,8 +59,8 @@ pub struct SimConfig {
     /// instead of re-walking its micro-ops. Only ever consulted in
     /// timing-only mode with no fault plan and no trace sink installed,
     /// so it cannot change any observable output — only wall-clock.
-    /// Defaults from the `APU_SIM_FAST_FORWARD` environment variable
-    /// (`1`/`true` to enable).
+    /// Off in [`SimConfig::leda_e`]; enable it with
+    /// [`SimConfig::with_fast_forward`].
     pub fast_forward: bool,
 }
 
@@ -91,7 +79,7 @@ impl SimConfig {
             l4_bytes: 256 * 1024 * 1024,
             clock: Frequency::LEDA_E,
             timing: DeviceTiming::leda_e(),
-            fast_forward: fast_forward_from_env(),
+            fast_forward: false,
         }
     }
 
@@ -169,17 +157,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig::leda_e()
     }
-}
-
-/// Resolves the default for [`SimConfig::fast_forward`] from the
-/// `APU_SIM_FAST_FORWARD` environment variable (`1` or `true` enables;
-/// anything else — including unset — disables). The CI matrix uses this
-/// to run the same suites with and without memoized timing replay.
-pub fn fast_forward_from_env() -> bool {
-    matches!(
-        std::env::var("APU_SIM_FAST_FORWARD").as_deref(),
-        Ok("1") | Ok("true")
-    )
 }
 
 #[cfg(test)]

@@ -113,7 +113,6 @@ pub struct ApuDevice {
     cores: Vec<ApuCore>,
     faults: Option<FaultState>,
     trace: Option<SharedSink>,
-    fast_forward: bool,
     memo: HashMap<u64, MemoEntry>,
     memo_counters: MemoCounters,
 }
@@ -150,7 +149,6 @@ impl ApuDevice {
             // store so paper-scale (multi-GB) configurations stay cheap.
             Dram::new_virtual(cfg.l4_bytes)
         };
-        let fast_forward = cfg.fast_forward;
         Ok(ApuDevice {
             l4,
             l3: vec![0; cfg.l3_bytes],
@@ -158,25 +156,12 @@ impl ApuDevice {
             cfg,
             faults: None,
             trace: None,
-            fast_forward,
             memo: HashMap::new(),
             memo_counters: MemoCounters::default(),
         })
     }
 
     // ---------------- timing fast-forward ----------------
-
-    /// Enables or disables timing fast-forward at runtime (see
-    /// [`ApuDevice::run_task_memoized`]). Disabling does not drop
-    /// already-recorded entries; they simply stop being replayed.
-    pub fn set_fast_forward(&mut self, on: bool) {
-        self.fast_forward = on;
-    }
-
-    /// Whether timing fast-forward is currently enabled.
-    pub fn fast_forward(&self) -> bool {
-        self.fast_forward
-    }
 
     /// Replay-cache activity so far.
     pub fn memo_counters(&self) -> MemoCounters {
@@ -409,8 +394,8 @@ impl ApuDevice {
     /// cache is consulted only when ALL of the following hold; otherwise
     /// the kernel executes exactly like [`ApuDevice::run_task`]:
     ///
-    /// - fast-forward is enabled ([`SimConfig::fast_forward`] /
-    ///   [`ApuDevice::set_fast_forward`]),
+    /// - fast-forward is enabled ([`SimConfig::fast_forward`], set with
+    ///   [`SimConfig::with_fast_forward`] when the device is built),
     /// - the device is in timing-only mode (functional payloads may be
     ///   data-dependent, so they are never replayed),
     /// - no fault plan is armed (fault schedules count dispatches),
@@ -427,7 +412,7 @@ impl ApuDevice {
         T: Clone + 'static,
         F: FnOnce(&mut ApuContext<'_>) -> Result<T>,
     {
-        let replay_ok = self.fast_forward
+        let replay_ok = self.cfg.fast_forward
             && !self.cfg.exec_mode.is_functional()
             && self.faults.is_none()
             && self.trace.is_none();
@@ -882,23 +867,18 @@ mod tests {
 
     #[test]
     fn memoized_replay_stays_off_until_enabled() {
-        // Explicit opt-out rather than `SimConfig::default()`: the
-        // default follows APU_SIM_FAST_FORWARD, which the CI matrix
-        // sets, so the off-path must be pinned independently of the
-        // ambient environment.
-        let mut dev = ApuDevice::new(
-            SimConfig::default()
-                .with_exec_mode(crate::ExecMode::TimingOnly)
-                .with_l4_bytes(1 << 20)
-                .with_fast_forward(false),
-        );
-        dev.run_task_memoized(1, charge_task).unwrap();
-        dev.run_task_memoized(1, charge_task).unwrap();
-        assert_eq!(dev.memo_counters().hits, 0);
-        // ... until enabled at runtime.
-        dev.set_fast_forward(true);
-        dev.run_task_memoized(1, charge_task).unwrap();
-        dev.run_task_memoized(1, charge_task).unwrap();
-        assert_eq!(dev.memo_counters().hits, 1);
+        let run_twice = |fast_forward: bool| {
+            let mut dev = ApuDevice::new(
+                SimConfig::default()
+                    .with_exec_mode(crate::ExecMode::TimingOnly)
+                    .with_l4_bytes(1 << 20)
+                    .with_fast_forward(fast_forward),
+            );
+            dev.run_task_memoized(1, charge_task).unwrap();
+            dev.run_task_memoized(1, charge_task).unwrap();
+            dev.memo_counters()
+        };
+        assert_eq!(run_twice(false).hits, 0);
+        assert_eq!(run_twice(true).hits, 1);
     }
 }

@@ -92,7 +92,7 @@ pub use cluster::{
     key_shard, ClusterHandle, ClusterReport, DeviceCluster, HealthTracker, Placement, RoutePolicy,
     ShardDrain,
 };
-pub use config::{fast_forward_from_env, ExecMode, SimConfig};
+pub use config::{ExecMode, SimConfig};
 pub use core::{ApuCore, Marker, Vmr, Vr};
 pub use device::{ApuContext, ApuDevice, CoreTask, MemoCounters, TaskReport};
 pub use dma_async::DmaTicket;

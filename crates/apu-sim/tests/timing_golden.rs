@@ -161,15 +161,9 @@ fn batched_dispatch_charges_the_same_cycles_as_single() {
     assert_eq!(single_cycles, Cycles::new(t.mul_s16 + t.cmd_issue));
 }
 
-/// Cluster width for the determinism workload: the CI shard axis
-/// (`APU_SIM_TEST_SHARDS`) when set, otherwise 3.
-fn cluster_shards() -> usize {
-    std::env::var("APU_SIM_TEST_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(3)
-}
+/// Cluster widths the determinism workload runs at: a single device, a
+/// four-way cluster and a three-way one (with its odd placement).
+const CLUSTER_SHARDS: [usize; 3] = [1, 4, 3];
 
 /// A fixed mixed workload on a [`DeviceCluster`] — consistent-hash
 /// routed batchables, a high-priority scatter, a fault plan on one
@@ -183,8 +177,7 @@ type ClusterGolden = (
     Vec<Vec<(Cycles, Duration, Duration, bool)>>,
 );
 
-fn run_cluster_workload(mode: ExecMode) -> ClusterGolden {
-    let shards = cluster_shards();
+fn run_cluster_workload(mode: ExecMode, shards: usize) -> ClusterGolden {
     let mut devices: Vec<ApuDevice> = (0..shards)
         .map(|_| {
             ApuDevice::new(
@@ -278,16 +271,24 @@ fn run_cluster_workload(mode: ExecMode) -> ClusterGolden {
 /// adds no nondeterminism on top of the simulator.
 #[test]
 fn cluster_trace_signatures_are_deterministic_per_shard() {
-    let a = run_cluster_workload(ExecMode::Functional);
-    let b = run_cluster_workload(ExecMode::Functional);
-    assert!(
-        a.0.iter().all(|s| !s.is_empty()),
-        "every shard must record a timeline"
-    );
-    for (shard, (sa, sb)) in a.0.iter().zip(&b.0).enumerate() {
-        assert_eq!(sa, sb, "shard {shard} trace signature diverged across runs");
+    for shards in CLUSTER_SHARDS {
+        let a = run_cluster_workload(ExecMode::Functional, shards);
+        let b = run_cluster_workload(ExecMode::Functional, shards);
+        assert!(
+            a.0.iter().all(|s| !s.is_empty()),
+            "{shards} shards: every shard must record a timeline"
+        );
+        for (shard, (sa, sb)) in a.0.iter().zip(&b.0).enumerate() {
+            assert_eq!(
+                sa, sb,
+                "{shards} shards: shard {shard} trace signature diverged across runs"
+            );
+        }
+        assert_eq!(
+            a.2, b.2,
+            "{shards} shards: completion timelines diverged across runs"
+        );
     }
-    assert_eq!(a.2, b.2, "completion timelines diverged across runs");
 }
 
 /// Functional and timing-only execution agree on cluster-level cycle
@@ -296,24 +297,23 @@ fn cluster_trace_signatures_are_deterministic_per_shard() {
 /// and queue timestamps must all be mode-independent.
 #[test]
 fn cluster_functional_and_timing_modes_agree_on_cycles() {
-    let f = run_cluster_workload(ExecMode::Functional);
-    let t = run_cluster_workload(ExecMode::TimingOnly);
-    assert_eq!(f.1, t.1, "per-shard event kinds diverged across exec modes");
-    assert_eq!(
-        f.2, t.2,
-        "per-completion cycle accounting diverged across exec modes"
-    );
+    for shards in CLUSTER_SHARDS {
+        let f = run_cluster_workload(ExecMode::Functional, shards);
+        let t = run_cluster_workload(ExecMode::TimingOnly, shards);
+        assert_eq!(
+            f.1, t.1,
+            "{shards} shards: per-shard event kinds diverged across exec modes"
+        );
+        assert_eq!(
+            f.2, t.2,
+            "{shards} shards: per-completion cycle accounting diverged across exec modes"
+        );
+    }
 }
 
-/// Replication factor for the replicated workload: the CI replica axis
-/// (`APU_SIM_TEST_REPLICAS`) when set, otherwise 2.
-fn cluster_replicas() -> usize {
-    std::env::var("APU_SIM_TEST_REPLICAS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(2)
-}
+/// (shards, replicas) shapes the replicated workload runs at: shards
+/// {1, 4} × replicas {1, 2}, and three shards of two replicas each.
+const REPLICATED_SHAPES: [(usize, usize); 5] = [(1, 1), (1, 2), (4, 1), (4, 2), (3, 2)];
 
 /// Per-job timeline row of the replicated workload:
 /// `(job, device, cycles, started, finished, ok)`.
@@ -321,8 +321,8 @@ type ReplicatedGolden = (Vec<String>, Vec<Vec<String>>, ReplicaTimeline);
 type ReplicaTimeline = Vec<(u64, usize, Cycles, Duration, Duration, bool)>;
 
 /// A fixed replicated workload on a [`DeviceCluster`] with a
-/// [`Placement`]: `APU_SIM_TEST_SHARDS` shard groups ×
-/// `APU_SIM_TEST_REPLICAS` replicas, the first replica of shard 0
+/// [`Placement`]: `shards` shard groups × `replicas` replicas, the
+/// first replica of shard 0
 /// killed outright (every task faults), two jobs per shard routed to
 /// the least-loaded healthy replica, and a manual
 /// drain → [`DeviceCluster::record_outcome`] →
@@ -330,9 +330,7 @@ type ReplicaTimeline = Vec<(u64, usize, Cycles, Duration, Duration, bool)>;
 /// failures on untried replicas. Returns per-device full trace
 /// signatures, per-device timestamp-free kind signatures, and the
 /// job timeline sorted by (job, device).
-fn run_replicated_workload(mode: ExecMode) -> ReplicatedGolden {
-    let shards = cluster_shards();
-    let replicas = cluster_replicas();
+fn run_replicated_workload(mode: ExecMode, (shards, replicas): (usize, usize)) -> ReplicatedGolden {
     let n_devices = shards * replicas;
     let mut devices: Vec<ApuDevice> = (0..n_devices)
         .map(|_| {
@@ -440,37 +438,38 @@ fn run_replicated_workload(mode: ExecMode) -> ReplicatedGolden {
 /// shard's jobs fail for good.
 #[test]
 fn replicated_cluster_failover_is_deterministic() {
-    let a = run_replicated_workload(ExecMode::Functional);
-    let b = run_replicated_workload(ExecMode::Functional);
-    for (device, (sa, sb)) in a.0.iter().zip(&b.0).enumerate() {
-        assert_eq!(
-            sa, sb,
-            "device {device} trace signature diverged across runs"
-        );
-    }
-    assert_eq!(a.2, b.2, "job timelines diverged across runs");
+    for (shards, replicas) in REPLICATED_SHAPES {
+        let shape = format!("{shards}s×{replicas}r");
+        let a = run_replicated_workload(ExecMode::Functional, (shards, replicas));
+        let b = run_replicated_workload(ExecMode::Functional, (shards, replicas));
+        for (device, (sa, sb)) in a.0.iter().zip(&b.0).enumerate() {
+            assert_eq!(
+                sa, sb,
+                "{shape}: device {device} trace signature diverged across runs"
+            );
+        }
+        assert_eq!(a.2, b.2, "{shape}: job timelines diverged across runs");
 
-    let shards = cluster_shards();
-    let replicas = cluster_replicas();
-    let jobs = 2 * shards;
-    let ok = a.2.iter().filter(|row| row.5).count();
-    if replicas >= 2 {
-        assert_eq!(ok, jobs, "failover must recover every job");
-        assert!(
-            a.2.iter().any(|row| !row.5),
-            "the dead replica must fail at least one attempt"
-        );
-        let all_kinds: Vec<String> = a.1.iter().flatten().cloned().collect();
-        assert!(
-            all_kinds.iter().any(|k| k.starts_with("replica-down")),
-            "the dead replica must be marked down"
-        );
-        assert!(
-            all_kinds.iter().any(|k| k.starts_with("failover")),
-            "failover re-issues must be traced"
-        );
-    } else {
-        assert_eq!(ok, jobs - 2, "shard 0's jobs have nowhere to go");
+        let jobs = 2 * shards;
+        let ok = a.2.iter().filter(|row| row.5).count();
+        if replicas >= 2 {
+            assert_eq!(ok, jobs, "{shape}: failover must recover every job");
+            assert!(
+                a.2.iter().any(|row| !row.5),
+                "{shape}: the dead replica must fail at least one attempt"
+            );
+            let all_kinds: Vec<String> = a.1.iter().flatten().cloned().collect();
+            assert!(
+                all_kinds.iter().any(|k| k.starts_with("replica-down")),
+                "{shape}: the dead replica must be marked down"
+            );
+            assert!(
+                all_kinds.iter().any(|k| k.starts_with("failover")),
+                "{shape}: failover re-issues must be traced"
+            );
+        } else {
+            assert_eq!(ok, jobs - 2, "{shape}: shard 0's jobs have nowhere to go");
+        }
     }
 }
 
@@ -480,13 +479,19 @@ fn replicated_cluster_failover_is_deterministic() {
 /// modes.
 #[test]
 fn replicated_cluster_modes_agree_on_cycles() {
-    let f = run_replicated_workload(ExecMode::Functional);
-    let t = run_replicated_workload(ExecMode::TimingOnly);
-    assert_eq!(
-        f.1, t.1,
-        "per-device event kinds diverged across exec modes"
-    );
-    assert_eq!(f.2, t.2, "job timelines diverged across exec modes");
+    for (shards, replicas) in REPLICATED_SHAPES {
+        let shape = format!("{shards}s×{replicas}r");
+        let f = run_replicated_workload(ExecMode::Functional, (shards, replicas));
+        let t = run_replicated_workload(ExecMode::TimingOnly, (shards, replicas));
+        assert_eq!(
+            f.1, t.1,
+            "{shape}: per-device event kinds diverged across exec modes"
+        );
+        assert_eq!(
+            f.2, t.2,
+            "{shape}: job timelines diverged across exec modes"
+        );
+    }
 }
 
 /// Tracing is an observer, never a participant: a run with a sink

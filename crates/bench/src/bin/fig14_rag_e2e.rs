@@ -1,5 +1,5 @@
 //! Figure 14: end-to-end RAG inference time across platforms and corpus
-//! sizes — CPU (modeled Xeon + optional measured host scan), GPU model,
+//! sizes — CPU (modeled Xeon), GPU model,
 //! and the simulated compute-in-SRAM device at every optimization
 //! variant.
 

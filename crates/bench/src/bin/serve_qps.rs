@@ -18,8 +18,14 @@
 //! drops by ~N and the saturation knee moves up accordingly. The final
 //! summary compares saturation QPS across shard counts at equal corpus
 //! size.
+//!
+//! Every sweep runs with the fast-forward replay cache on
+//! ([`SimConfig::with_fast_forward`]), which leaves every simulated
+//! number unchanged. `--smoke` runs its sweep with the cache off and
+//! then on, asserts that the two tables are identical, and writes both
+//! wall-clock times to `BENCH_serve_qps.json`.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use apu_sim::{ExecMode, SimConfig};
 use cis_bench::table::{print_table, section};
@@ -31,7 +37,6 @@ use rand::{Rng, SeedableRng};
 
 fn main() {
     let cfg = cis_bench::parse_args();
-    let wall_start = std::time::Instant::now();
     // A sharded comparison needs a corpus spanning several VR tiles per
     // device — below ~3 tiles the kernel cost is the fixed per-tile
     // floor and every shard count ties — so `--shards` raises the
@@ -40,8 +45,7 @@ fn main() {
     // `--smoke` trades sweep breadth for per-dispatch weight: two
     // offered rates on a corpus big enough that the tile-by-tile timing
     // walk dominates the wall clock, so the fast-forward replay cache
-    // (APU_SIM_FAST_FORWARD=1) has a measurable effect. The simulated
-    // results stay seed-pinned either way.
+    // has a measurable effect.
     let min_bytes = if cfg.shards > 1 {
         6.0e9
     } else if cfg.smoke {
@@ -67,6 +71,13 @@ fn main() {
     } else {
         vec![1]
     };
+    // The smoke run times the replay cache against the full walk.
+    let legs = if cfg.smoke {
+        vec![sim().with_fast_forward(false), sim()]
+    } else {
+        vec![sim()]
+    };
+    let mut walls = vec![Duration::ZERO; legs.len()];
 
     let mut saturation: Vec<(usize, f64, Duration)> = Vec::new();
     for &n_shards in &shard_axis {
@@ -91,53 +102,70 @@ fn main() {
         };
         let capacity_qps = 1.0 / per_query_s;
 
-        let mut rows = Vec::new();
-        let mut best_qps = 0.0f64;
-        let mut best_p99 = Duration::ZERO;
-        for &frac in offered_fracs {
-            let offered = capacity_qps * frac;
-            let mut server = ShardedRagServer::new(&store, n_shards, sim(), ServeConfig::default())
-                .expect("cluster construction");
+        let sweep = |sim: &SimConfig| {
+            let mut rows = Vec::new();
+            let mut best_qps = 0.0f64;
+            let mut best_p99 = Duration::ZERO;
+            for &frac in offered_fracs {
+                let offered = capacity_qps * frac;
+                let mut server =
+                    ShardedRagServer::new(&store, n_shards, sim.clone(), ServeConfig::default())
+                        .expect("cluster construction");
 
-            // Seeded Poisson arrivals: exponential inter-arrival times by
-            // inverse CDF, identical across offered-rate runs up to scale.
-            let mut rng = StdRng::seed_from_u64(cfg.seed);
-            let mut t = 0.0f64;
-            let mut rejected = 0u64;
-            for i in 0..queries_per_point {
-                let u: f64 = rng.gen();
-                t += -(1.0 - u).ln() / offered;
-                if server.submit(Duration::from_secs_f64(t), query(i)).is_err() {
-                    rejected += 1;
+                // Seeded Poisson arrivals: exponential inter-arrival times by
+                // inverse CDF, identical across offered-rate runs up to scale.
+                let mut rng = StdRng::seed_from_u64(cfg.seed);
+                let mut t = 0.0f64;
+                let mut rejected = 0u64;
+                for i in 0..queries_per_point {
+                    let u: f64 = rng.gen();
+                    t += -(1.0 - u).ln() / offered;
+                    if server.submit(Duration::from_secs_f64(t), query(i)).is_err() {
+                        rejected += 1;
+                    }
                 }
-            }
-            let report = server.drain().expect("serve drain");
-            if report.throughput_qps() > best_qps {
-                best_qps = report.throughput_qps();
-                best_p99 = report.latency_percentile(0.99);
-            }
+                let report = server.drain().expect("serve drain");
+                if report.throughput_qps() > best_qps {
+                    best_qps = report.throughput_qps();
+                    best_p99 = report.latency_percentile(0.99);
+                }
 
-            // Per-stage attribution of the total latency budget: as the
-            // offered rate crosses capacity, the queue-wait share takes
-            // over the whole budget.
-            let stages = report.stage_totals();
-            let total = stages.total().as_secs_f64().max(f64::MIN_POSITIVE);
-            let share = |d: Duration| 100.0 * d.as_secs_f64() / total;
-            rows.push(vec![
-                format!("{offered:.0}"),
-                format!("{:.0}", report.throughput_qps()),
-                format!("{:.2}", report.latency_percentile(0.50).as_secs_f64() * 1e3),
-                format!("{:.2}", report.latency_percentile(0.99).as_secs_f64() * 1e3),
-                format!("{:.1}", report.mean_batch_size()),
-                format!("{:.0}%", report.queue.occupancy() * 100.0),
-                format!(
-                    "{:.0}/{:.0}/{:.0}%",
-                    share(stages.queue_wait),
-                    share(stages.dma),
-                    share(stages.device),
-                ),
-                format!("{rejected}"),
-            ]);
+                // Per-stage attribution of the total latency budget: as the
+                // offered rate crosses capacity, the queue-wait share takes
+                // over the whole budget.
+                let stages = report.stage_totals();
+                let total = stages.total().as_secs_f64().max(f64::MIN_POSITIVE);
+                let share = |d: Duration| 100.0 * d.as_secs_f64() / total;
+                rows.push(vec![
+                    format!("{offered:.0}"),
+                    format!("{:.0}", report.throughput_qps()),
+                    format!("{:.2}", report.latency_percentile(0.50).as_secs_f64() * 1e3),
+                    format!("{:.2}", report.latency_percentile(0.99).as_secs_f64() * 1e3),
+                    format!("{:.1}", report.mean_batch_size()),
+                    format!("{:.0}%", report.queue.occupancy() * 100.0),
+                    format!(
+                        "{:.0}/{:.0}/{:.0}%",
+                        share(stages.queue_wait),
+                        share(stages.dma),
+                        share(stages.device),
+                    ),
+                    format!("{rejected}"),
+                ]);
+            }
+            (rows, best_qps, best_p99)
+        };
+        let mut tables = Vec::new();
+        for (leg, wall) in legs.iter().zip(&mut walls) {
+            let start = Instant::now();
+            tables.push(sweep(leg));
+            *wall += start.elapsed();
+        }
+        let (rows, best_qps, best_p99) = tables.pop().expect("at least one leg");
+        for (other, ..) in &tables {
+            assert_eq!(
+                other, &rows,
+                "fast-forward changed the simulated results on {n_shards} shard(s)"
+            );
         }
         print_table(
             &[
@@ -183,29 +211,28 @@ fn main() {
     }
 
     if cfg.smoke {
-        let wall = wall_start.elapsed().as_secs_f64();
+        let [off, on] = [walls[0].as_secs_f64(), walls[1].as_secs_f64()];
         let &(_, best_qps, best_p99) = saturation.last().expect("at least one sweep ran");
         let json = format!(
             "{{\n  \"bench\": \"serve_qps\",\n  \"mode\": \"smoke\",\n  \"seed\": {},\n  \
-             \"scale\": {},\n  \"shards\": {},\n  \"fast_forward\": {},\n  \
+             \"scale\": {},\n  \"shards\": {},\n  \
              \"queries_per_point\": {},\n  \"offered_fracs\": {:?},\n  \
-             \"wall_seconds\": {:.3},\n  \"sustained_qps\": {:.1},\n  \"p99_ms\": {:.3}\n}}\n",
+             \"wall_seconds_fast_forward_off\": {off:.3},\n  \
+             \"wall_seconds_fast_forward_on\": {on:.3},\n  \
+             \"sustained_qps\": {:.1},\n  \"p99_ms\": {:.3}\n}}\n",
             cfg.seed,
             cfg.scale,
             cfg.shards,
-            apu_sim::fast_forward_from_env(),
             queries_per_point,
             offered_fracs,
-            wall,
             best_qps,
             best_p99.as_secs_f64() * 1e3,
         );
         std::fs::write("BENCH_serve_qps.json", &json).expect("write BENCH_serve_qps.json");
         println!();
         println!(
-            "Smoke summary written to BENCH_serve_qps.json \
-             (wall {wall:.3} s, fast_forward={}).",
-            apu_sim::fast_forward_from_env()
+            "Smoke summary written to BENCH_serve_qps.json: identical simulated \
+             results, wall {off:.3} s with fast-forward off, {on:.3} s on."
         );
     }
 }
@@ -214,6 +241,7 @@ fn sim() -> SimConfig {
     SimConfig::default()
         .with_l4_bytes(1 << 20)
         .with_exec_mode(ExecMode::TimingOnly)
+        .with_fast_forward(true)
 }
 
 fn probe_device() -> apu_sim::ApuDevice {

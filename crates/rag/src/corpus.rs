@@ -10,6 +10,7 @@
 //! Embedding values are quantized to −6..=6 so a 384-dimension dot
 //! product (≤ 13,824) fits a 16-bit device lane exactly.
 
+use apu_sim::{Error, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -20,6 +21,19 @@ pub const EMBED_DIM: usize = 384;
 pub const CHUNK_TOKENS: usize = 16_384;
 /// Quantized embedding magnitude bound.
 pub const EMBED_MAX: i16 = 6;
+
+/// Rejects values outside ±[`EMBED_MAX`], the band that keeps every
+/// inner product inside a 16-bit lane. A max-reduction rather than an
+/// early-exit scan, so the check over a whole store vectorizes.
+pub(crate) fn check_band(values: &[i16]) -> Result<()> {
+    let peak = values.iter().map(|v| v.unsigned_abs()).max().unwrap_or(0);
+    if peak > EMBED_MAX.unsigned_abs() {
+        return Err(Error::InvalidArg(format!(
+            "embedding values outside the ±{EMBED_MAX} band"
+        )));
+    }
+    Ok(())
+}
 
 /// A corpus size point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,25 +118,28 @@ impl EmbeddingStore {
     /// k-means centroids used as a probe corpus (see [`crate::ivf`]).
     /// The `seed` only parameterizes [`EmbeddingStore::query`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `data.len()` is not a multiple of [`EMBED_DIM`].
-    pub fn from_embeddings(corpus_bytes: u64, data: Vec<i16>, seed: u64) -> Self {
-        assert!(
-            data.len().is_multiple_of(EMBED_DIM),
-            "embedding data length {} is not a multiple of {EMBED_DIM}",
-            data.len()
-        );
+    /// Returns [`Error::InvalidArg`] if `data.len()` is not a multiple of
+    /// [`EMBED_DIM`] or a value lies outside ±[`EMBED_MAX`].
+    pub fn from_embeddings(corpus_bytes: u64, data: Vec<i16>, seed: u64) -> Result<Self> {
+        if !data.len().is_multiple_of(EMBED_DIM) {
+            return Err(Error::InvalidArg(format!(
+                "embedding data length {} is not a multiple of {EMBED_DIM}",
+                data.len()
+            )));
+        }
+        check_band(&data)?;
         let spec = CorpusSpec {
             corpus_bytes,
             chunks: data.len() / EMBED_DIM,
         };
-        EmbeddingStore {
+        Ok(EmbeddingStore {
             spec,
             seed,
             epoch: 0,
             data: Some(data),
-        }
+        })
     }
 
     /// The corpus spec.
@@ -513,7 +530,7 @@ mod tests {
             chunks: 3,
         };
         let src = EmbeddingStore::materialized(spec, 4);
-        let wrapped = EmbeddingStore::from_embeddings(64, src.raw().to_vec(), 4);
+        let wrapped = EmbeddingStore::from_embeddings(64, src.raw().to_vec(), 4).unwrap();
         assert_eq!(wrapped.spec().chunks, 3);
         assert_eq!(wrapped.spec().corpus_bytes, 64);
         assert!(wrapped.is_materialized());
@@ -522,9 +539,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "multiple")]
     fn from_embeddings_rejects_ragged_data() {
-        let _ = EmbeddingStore::from_embeddings(0, vec![1i16; EMBED_DIM + 1], 0);
+        let err = EmbeddingStore::from_embeddings(0, vec![1i16; EMBED_DIM + 1], 0).unwrap_err();
+        assert!(matches!(err, Error::InvalidArg(ref m) if m.contains("multiple")));
+    }
+
+    #[test]
+    fn from_embeddings_rejects_out_of_band_values() {
+        for bad in [EMBED_MAX + 1, -EMBED_MAX - 1, i16::MAX, i16::MIN] {
+            let mut data = vec![0i16; 2 * EMBED_DIM];
+            data[EMBED_DIM + 7] = bad;
+            let err = EmbeddingStore::from_embeddings(0, data, 0).unwrap_err();
+            assert!(
+                matches!(err, Error::InvalidArg(ref m) if m.contains("band")),
+                "{bad}: {err}"
+            );
+        }
+        let edges = [vec![EMBED_MAX; EMBED_DIM], vec![-EMBED_MAX; EMBED_DIM]].concat();
+        assert!(EmbeddingStore::from_embeddings(0, edges, 0).is_ok());
     }
 
     #[test]

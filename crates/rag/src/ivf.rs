@@ -285,14 +285,16 @@ impl IvfIndex {
                 }
                 let corpus_bytes = proportional_bytes(store.spec(), ids.len());
                 Cluster {
-                    store: EmbeddingStore::from_embeddings(corpus_bytes, data, store.seed()),
+                    store: EmbeddingStore::from_embeddings(corpus_bytes, data, store.seed())
+                        .expect("a cluster holds rows of an in-band store"),
                     ids,
                 }
             })
             .collect();
 
         IvfIndex {
-            centroids: EmbeddingStore::from_embeddings(0, centroids, store.seed()),
+            centroids: EmbeddingStore::from_embeddings(0, centroids, store.seed())
+                .expect("floored means of in-band rows stay in band"),
             clusters,
             source_chunks: chunks,
         }
@@ -599,7 +601,7 @@ mod tests {
 
     #[test]
     fn empty_store_builds_one_empty_cluster() {
-        let store = EmbeddingStore::from_embeddings(0, vec![], 1);
+        let store = EmbeddingStore::from_embeddings(0, vec![], 1).unwrap();
         let index = IvfIndex::build(&store, 8);
         assert_eq!(index.nlist(), 1);
         assert_eq!(index.cluster_len(0), 0);
@@ -683,7 +685,18 @@ mod tests {
         let data = (0..chunks)
             .flat_map(|c| distinct.embedding(c % rows).to_vec())
             .collect();
-        EmbeddingStore::from_embeddings(0, data, seed)
+        EmbeddingStore::from_embeddings(0, data, seed).unwrap()
+    }
+
+    /// An `i16::MAX` coordinate overflows the `i16` difference in
+    /// `sq_dist`, so such data is refused before a store exists and
+    /// `IvfIndex::build` never sees it.
+    #[test]
+    fn out_of_band_rows_never_reach_the_trainer() {
+        let mut data = clustered(64, 4, 9).store.raw().to_vec();
+        data[5 * EMBED_DIM + 3] = i16::MAX;
+        let built = EmbeddingStore::from_embeddings(0, data, 9).map(|st| IvfIndex::build(&st, 4));
+        assert!(built.is_err());
     }
 
     #[test]

@@ -50,7 +50,7 @@ use apu_sim::{ApuDevice, BatchKey, Cycles, Error, TaskReport};
 use hbm_sim::MemorySystem;
 
 use crate::batch::retrieve_batch;
-use crate::corpus::{CorpusSpec, EmbeddingStore, EMBED_DIM, EMBED_MAX};
+use crate::corpus::{check_band, CorpusSpec, EmbeddingStore, EMBED_DIM};
 use crate::ivf::{IndexMode, IvfIndex, IvfStats};
 use crate::topk::{drop_tombstoned, merge_top_k, top_k};
 use crate::{Hit, Result};
@@ -253,6 +253,7 @@ impl CompactionPlan {
         let corpus_bytes = self.bytes_per_chunk * ids.len() as u64;
         let store = if self.materialized {
             EmbeddingStore::from_embeddings(corpus_bytes, data, self.seed())
+                .expect("live documents were band-checked on insert")
         } else {
             EmbeddingStore::size_only(
                 CorpusSpec {
@@ -301,6 +302,7 @@ impl ShardState {
         let corpus_bytes = bytes_per_chunk * ids.len() as u64;
         let store = if materialized {
             EmbeddingStore::from_embeddings(corpus_bytes, data, seed)
+                .expect("inserts are band-checked")
         } else {
             EmbeddingStore::size_only(
                 CorpusSpec {
@@ -442,14 +444,7 @@ impl MutableCorpus {
                 embedding.len()
             )));
         }
-        if embedding
-            .iter()
-            .any(|v| !(-EMBED_MAX..=EMBED_MAX).contains(v))
-        {
-            return Err(Error::InvalidArg(format!(
-                "insert values outside the ±{EMBED_MAX} embedding band"
-            )));
-        }
+        check_band(embedding)?;
         let doc = self.next_doc;
         self.next_doc = doc
             .checked_add(1)
@@ -488,11 +483,7 @@ impl MutableCorpus {
     /// Fails if `doc` is unknown/deleted or the vector is invalid (in
     /// which case nothing changes — validation precedes the delete).
     pub fn update(&mut self, doc: u32, embedding: &[i16]) -> Result<u32> {
-        if embedding.len() != EMBED_DIM
-            || embedding
-                .iter()
-                .any(|v| !(-EMBED_MAX..=EMBED_MAX).contains(v))
-        {
+        if embedding.len() != EMBED_DIM || check_band(embedding).is_err() {
             return Err(Error::InvalidArg("invalid replacement vector".into()));
         }
         if !self.delete(doc) {
@@ -901,6 +892,7 @@ pub fn run_compaction_task(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::EMBED_MAX;
     use apu_sim::SimConfig;
     use hbm_sim::DramSpec;
 

@@ -19,12 +19,14 @@
 //!   defaults ([`DEFAULT_NLIST`]/[`DEFAULT_NPROBE`]) stays ≥ 0.9;
 //! * **determinism**: the same seed yields byte-identical serve reports
 //!   (hits and Prometheus text) run-to-run, in both simulation modes
-//!   and across the CI shard/replica axes.
+//!   and across the shard/replica/fast-forward axes.
 //!
-//! The CI index axis (`APU_SIM_TEST_INDEX=flat|ivf`) picks the serving
-//! default for the end-to-end case, composing with the existing
-//! `APU_SIM_TEST_MODE` / `APU_SIM_TEST_SHARDS` / `APU_SIM_TEST_REPLICAS`
-//! axes.
+//! The determinism and end-to-end cases loop in-process over the
+//! composed points of `common::CI_POINTS`, whose index axis serves the
+//! end-to-end stream flat or through IVF, plus each case's own
+//! functional default point.
+
+mod common;
 
 use std::collections::HashSet;
 use std::time::Duration;
@@ -59,14 +61,6 @@ fn functional_device() -> (ApuDevice, MemorySystem) {
         ApuDevice::new(sim(ExecMode::Functional)),
         MemorySystem::new(DramSpec::hbm2e_16gb()),
     )
-}
-
-fn axis(var: &str, default: usize) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(default)
 }
 
 proptest! {
@@ -288,19 +282,15 @@ fn ivf_partition_is_pinned() {
     );
 }
 
-/// Same-seed determinism on the CI axes: two identical IVF serves —
-/// same corpus seed, same stream, same shard/replica/mode axes — must
-/// produce byte-identical results: per-query hit lists and the full
-/// Prometheus rendering (which folds in latencies, batch stats, and the
-/// `apu_ivf_*` counters). Runs in whichever mode `APU_SIM_TEST_MODE`
-/// selects; timing-only serves compare the data-independent fallback
-/// probes the same way.
+/// Same-seed determinism on every composed point: two identical IVF
+/// serves — same corpus seed, same stream, same shard/replica/mode/
+/// fast-forward point — must produce byte-identical results: per-query
+/// hit lists and the full Prometheus rendering (which folds in
+/// latencies, batch stats, and the `apu_ivf_*` counters). Timing-only
+/// serves compare the data-independent fallback probes the same way.
 #[test]
 fn same_seed_ivf_serves_are_byte_identical() {
-    let shards = axis("APU_SIM_TEST_SHARDS", 2);
-    let replicas = axis("APU_SIM_TEST_REPLICAS", 1);
-    let mode = ExecMode::from_env(ExecMode::Functional);
-    let run = || {
+    let run = |point: common::Point| {
         let corpus = ClusteredCorpus::new(
             CorpusSpec {
                 corpus_bytes: 0,
@@ -312,11 +302,11 @@ fn same_seed_ivf_serves_are_byte_identical() {
         );
         let mut server = ShardedRagServer::new(
             &corpus.store,
-            shards,
-            sim(mode),
+            point.shards,
+            point.sim(),
             ServeConfig {
                 k: 10,
-                replicas,
+                replicas: point.replicas,
                 index: IndexMode::Ivf {
                     nlist: 16,
                     nprobe: 2,
@@ -341,29 +331,27 @@ fn same_seed_ivf_serves_are_byte_identical() {
             .collect();
         (hits, report.ivf, report.prometheus_text())
     };
-    let first = run();
-    let second = run();
-    assert_eq!(first.0, second.0, "hit lists diverged run-to-run");
-    assert_eq!(first.1, second.1, "ivf stats diverged run-to-run");
-    assert_eq!(first.2, second.2, "prometheus text diverged run-to-run");
+    for point in common::points_with(common::Point::local(2, 1)) {
+        let first = run(point);
+        let second = run(point);
+        assert_eq!(first.0, second.0, "{point}: hit lists diverged run-to-run");
+        assert_eq!(first.1, second.1, "{point}: ivf stats diverged run-to-run");
+        assert_eq!(
+            first.2, second.2,
+            "{point}: prometheus text diverged run-to-run"
+        );
+    }
 }
 
-/// End-to-end check on the CI index axis: `APU_SIM_TEST_INDEX` selects
-/// the serving default (`flat` or `ivf`), composing with the mode and
-/// shard/replica axes. The stream must be fully served in either mode;
-/// under functional execution flat answers are checked against the
-/// exact CPU scan and IVF answers for candidate exactness, and an IVF
-/// serve must surface its probe counters in the report and the
-/// Prometheus rendering.
+/// End-to-end check on every composed point: the point's index axis
+/// selects the serving default (flat or IVF), composing with its mode,
+/// shard, replica and fast-forward axes. The stream must be fully
+/// served in either mode; under functional execution flat answers are
+/// checked against the exact CPU scan and IVF answers for candidate
+/// exactness, and an IVF serve must surface its probe counters in the
+/// report and the Prometheus rendering.
 #[test]
 fn ci_index_axis_serves_the_full_stream() {
-    let index = match std::env::var("APU_SIM_TEST_INDEX").as_deref() {
-        Ok("ivf") => IndexMode::ivf_default(),
-        _ => IndexMode::Flat,
-    };
-    let shards = axis("APU_SIM_TEST_SHARDS", 3);
-    let replicas = axis("APU_SIM_TEST_REPLICAS", 1);
-    let mode = ExecMode::from_env(ExecMode::Functional);
     let corpus = ClusteredCorpus::new(
         CorpusSpec {
             corpus_bytes: 0,
@@ -373,19 +361,24 @@ fn ci_index_axis_serves_the_full_stream() {
         1,
         42,
     );
-    let k = 10;
     let queries: Vec<Vec<i16>> = (0..12u64)
         .map(|i| corpus.query_near(i as usize % corpus.topics(), i))
         .collect();
+    for point in common::points_with(common::Point::local(3, 1)) {
+        serve_the_full_stream(&corpus, &queries, point);
+    }
+}
 
+fn serve_the_full_stream(corpus: &ClusteredCorpus, queries: &[Vec<i16>], point: common::Point) {
+    let k = 10;
     let mut server = ShardedRagServer::new(
         &corpus.store,
-        shards,
-        sim(mode),
+        point.shards,
+        point.sim(),
         ServeConfig {
             k,
-            replicas,
-            index,
+            replicas: point.replicas,
+            index: point.index,
             ..ServeConfig::default()
         },
     )
@@ -397,28 +390,42 @@ fn ci_index_axis_serves_the_full_stream() {
     }
     let report = server.drain().expect("drain");
 
-    assert_eq!(report.completions.len(), queries.len());
-    assert_eq!(report.served(), queries.len());
-    assert_eq!(report.degraded(), 0);
-    if index.is_ivf() {
-        assert!(report.ivf.searches >= 1, "no IVF dispatch recorded");
-        assert_eq!(report.ivf.queries as usize, queries.len() * shards);
-        assert!(report.prometheus_text().contains("apu_ivf_searches_total"));
+    assert_eq!(report.completions.len(), queries.len(), "{point}");
+    assert_eq!(report.served(), queries.len(), "{point}");
+    assert_eq!(report.degraded(), 0, "{point}");
+    if point.index.is_ivf() {
+        assert!(
+            report.ivf.searches >= 1,
+            "{point}: no IVF dispatch recorded"
+        );
+        assert_eq!(
+            report.ivf.queries as usize,
+            queries.len() * point.shards,
+            "{point}"
+        );
+        assert!(
+            report.prometheus_text().contains("apu_ivf_searches_total"),
+            "{point}"
+        );
     } else {
-        assert_eq!(report.ivf, rag::IvfStats::default());
+        assert_eq!(report.ivf, rag::IvfStats::default(), "{point}");
     }
-    if mode.is_functional() {
+    if point.mode.is_functional() {
         for done in &report.completions {
             let q = &queries[done.ticket.id() as usize];
             let hits = done.hits().expect("served");
-            match index {
+            match point.index {
                 IndexMode::Flat => {
                     let (expected, _) = cpu_retrieve(&corpus.store, q, k, 2);
-                    assert_eq!(hits, &expected[..]);
+                    assert_eq!(hits, &expected[..], "{point}");
                 }
                 IndexMode::Ivf { .. } => {
                     for h in hits {
-                        assert_eq!(h.score, dot(q, corpus.store.embedding(h.chunk as usize)));
+                        assert_eq!(
+                            h.score,
+                            dot(q, corpus.store.embedding(h.chunk as usize)),
+                            "{point}"
+                        );
                     }
                 }
             }

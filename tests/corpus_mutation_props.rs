@@ -23,13 +23,17 @@
 //!   re-requestable — while every query keeps serving exact results
 //!   from its snapshot;
 //! * **determinism**: same seed, same churn stream → byte-identical
-//!   hits, corpus counters, and Prometheus text, across the CI axes.
+//!   hits, corpus counters, and Prometheus text, on every composed
+//!   point.
 //!
-//! The CI mutation axis (`APU_SIM_TEST_MUTATION=static|churn`) drives
-//! the end-to-end case, composing with the `APU_SIM_TEST_MODE` /
-//! `APU_SIM_TEST_SHARDS` / `APU_SIM_TEST_REPLICAS` /
-//! `APU_SIM_TEST_INDEX` axes and with `APU_SIM_FAST_FORWARD` (memo keys
-//! carry the segment epoch, pinned by `tests/fast_forward.rs`).
+//! The determinism and end-to-end cases loop in-process over the
+//! composed points of `common::CI_POINTS` plus a functional 2-shard
+//! default point. The points' mutation axis serves the end-to-end stream
+//! over a static or a churning corpus, composed with the mode, shard,
+//! replica, index and fast-forward axes (memo keys carry the segment
+//! epoch, pinned by `tests/fast_forward.rs`).
+
+mod common;
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -57,14 +61,6 @@ fn sim(mode: ExecMode) -> SimConfig {
     SimConfig::default()
         .with_exec_mode(mode)
         .with_l4_bytes(8 << 20)
-}
-
-fn axis(var: &str, default: usize) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(default)
 }
 
 /// A query in flight: the ticket, the snapshot it pinned at admission,
@@ -434,17 +430,18 @@ fn a_failed_compaction_never_degrades_queries_and_is_rerequestable() {
 type ChurnObservables = (Vec<(u64, Option<Vec<Hit>>)>, rag::CorpusStats, String);
 
 /// Runs one fixed churn stream — interleaved queries, inserts, deletes,
-/// a mid-stream compaction, across two drains.
-fn churn_run(shards: usize, replicas: usize, mode: ExecMode, index: IndexMode) -> ChurnObservables {
+/// a mid-stream compaction, across two drains — at `point`'s mode,
+/// cluster shape, fast-forward and index.
+fn churn_run(point: common::Point) -> ChurnObservables {
     let st = store(1_024, 42);
     let mut server = ShardedRagServer::new_mutable(
         &st,
-        shards,
-        sim(mode),
+        point.shards,
+        point.sim(),
         ServeConfig {
             k: 8,
-            replicas,
-            index,
+            replicas: point.replicas,
+            index: point.index,
             ..ServeConfig::default()
         },
     )
@@ -455,16 +452,20 @@ fn churn_run(shards: usize, replicas: usize, mode: ExecMode, index: IndexMode) -
                  pinned: &mut Vec<(QueryTicket, Arc<Snapshot>, Vec<i16>)>,
                  hits: &mut Vec<(u64, Option<Vec<Hit>>)>| {
         let report = server.drain().expect("drain");
-        assert_eq!(report.completions.len(), pinned.len());
-        assert_eq!(report.served(), pinned.len());
-        if mode.is_functional() {
+        assert_eq!(report.completions.len(), pinned.len(), "{point}");
+        assert_eq!(report.served(), pinned.len(), "{point}");
+        if point.mode.is_functional() {
             for done in &report.completions {
                 let (_, snap, q) = pinned
                     .iter()
                     .find(|(tk, _, _)| *tk == done.ticket)
                     .expect("known ticket");
-                if !index.is_ivf() {
-                    assert_eq!(done.hits().expect("served"), &flat_scan(snap, q, 8)[..]);
+                if !point.index.is_ivf() {
+                    assert_eq!(
+                        done.hits().expect("served"),
+                        &flat_scan(snap, q, 8)[..],
+                        "{point}"
+                    );
                 }
             }
         }
@@ -514,27 +515,28 @@ fn churn_run(shards: usize, replicas: usize, mode: ExecMode, index: IndexMode) -
     (hits, report.corpus, report.prometheus_text())
 }
 
-/// Same-seed determinism under churn on the CI axes: two identical
-/// mutation streams must produce byte-identical hits, corpus counters,
-/// and Prometheus text — in both simulation modes, any shard/replica
-/// shape, flat or IVF, with or without fast-forward.
+/// Same-seed determinism under churn on every composed point: two
+/// identical mutation streams must produce byte-identical hits, corpus
+/// counters, and Prometheus text — in both simulation modes, any
+/// shard/replica shape, flat or IVF, with or without fast-forward.
 #[test]
 fn same_seed_churn_serves_are_byte_identical() {
-    let shards = axis("APU_SIM_TEST_SHARDS", 2);
-    let replicas = axis("APU_SIM_TEST_REPLICAS", 1);
-    let mode = ExecMode::from_env(ExecMode::Functional);
-    let index = match std::env::var("APU_SIM_TEST_INDEX").as_deref() {
-        Ok("ivf") => IndexMode::ivf_default(),
-        _ => IndexMode::Flat,
-    };
-    let first = churn_run(shards, replicas, mode, index);
-    let second = churn_run(shards, replicas, mode, index);
-    assert_eq!(first.0, second.0, "hit lists diverged run-to-run");
-    assert_eq!(first.1, second.1, "corpus counters diverged run-to-run");
-    assert_eq!(first.2, second.2, "prometheus text diverged run-to-run");
+    for point in common::points_with(common::Point::local(2, 1)) {
+        let first = churn_run(point);
+        let second = churn_run(point);
+        assert_eq!(first.0, second.0, "{point}: hit lists diverged run-to-run");
+        assert_eq!(
+            first.1, second.1,
+            "{point}: corpus counters diverged run-to-run"
+        );
+        assert_eq!(
+            first.2, second.2,
+            "{point}: prometheus text diverged run-to-run"
+        );
+    }
 }
 
-/// End-to-end check on the CI mutation axis: `APU_SIM_TEST_MUTATION`
+/// End-to-end check on every composed point: the point's mutation axis
 /// selects a static corpus (a never-written server must stay fully
 /// served and export the unwritten store's counters: every document
 /// live in the base, one snapshot, no writes) or the churn stream
@@ -543,58 +545,65 @@ fn same_seed_churn_serves_are_byte_identical() {
 /// mode, shard, replica, index, and fast-forward axes.
 #[test]
 fn ci_mutation_axis_serves_the_full_stream() {
-    let churn = matches!(
-        std::env::var("APU_SIM_TEST_MUTATION").as_deref(),
-        Ok("churn")
-    );
-    let shards = axis("APU_SIM_TEST_SHARDS", 2);
-    let replicas = axis("APU_SIM_TEST_REPLICAS", 1);
-    let mode = ExecMode::from_env(ExecMode::Functional);
-    let index = match std::env::var("APU_SIM_TEST_INDEX").as_deref() {
-        Ok("ivf") => IndexMode::ivf_default(),
-        _ => IndexMode::Flat,
-    };
-    if churn {
-        let (hits, corpus, text) = churn_run(shards, replicas, mode, index);
-        assert_eq!(hits.len(), 18);
-        assert!(corpus.inserts >= 4);
-        assert!(corpus.deletes >= 1);
-        assert_eq!(corpus.compactions + corpus.compaction_failures, 1);
-        assert!(corpus.snapshots >= 2);
-        assert!(text.contains("apu_corpus_inserts_total"));
-        assert!(text.contains("apu_corpus_compactions_total"));
-    } else {
-        let st = store(1_024, 42);
-        let mut server = ShardedRagServer::new(
-            &st,
-            shards,
-            sim(mode),
-            ServeConfig {
-                k: 8,
-                replicas,
-                index,
-                ..ServeConfig::default()
-            },
-        )
-        .expect("server construction");
-        for i in 0..12u64 {
-            server
-                .submit(Duration::from_micros(25 * i), st.query(i))
-                .expect("submit");
+    for point in common::points_with(common::Point::local(2, 1)) {
+        if point.churn {
+            serve_a_churning_corpus(point);
+        } else {
+            serve_a_static_corpus(point);
         }
-        let report = server.drain().expect("drain");
-        assert_eq!(report.served(), 12);
-        assert_eq!(
-            report.corpus,
-            rag::CorpusStats {
-                live_docs: 1_024,
-                base_docs: 1_024,
-                snapshots: 1,
-                ..rag::CorpusStats::default()
-            }
-        );
-        assert!(report
-            .prometheus_text()
-            .contains("apu_corpus_compactions_total 0"));
     }
+}
+
+fn serve_a_churning_corpus(point: common::Point) {
+    let (hits, corpus, text) = churn_run(point);
+    assert_eq!(hits.len(), 18, "{point}");
+    assert!(corpus.inserts >= 4, "{point}");
+    assert!(corpus.deletes >= 1, "{point}");
+    assert_eq!(
+        corpus.compactions + corpus.compaction_failures,
+        1,
+        "{point}"
+    );
+    assert!(corpus.snapshots >= 2, "{point}");
+    assert!(text.contains("apu_corpus_inserts_total"), "{point}");
+    assert!(text.contains("apu_corpus_compactions_total"), "{point}");
+}
+
+fn serve_a_static_corpus(point: common::Point) {
+    let st = store(1_024, 42);
+    let mut server = ShardedRagServer::new(
+        &st,
+        point.shards,
+        point.sim(),
+        ServeConfig {
+            k: 8,
+            replicas: point.replicas,
+            index: point.index,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("server construction");
+    for i in 0..12u64 {
+        server
+            .submit(Duration::from_micros(25 * i), st.query(i))
+            .expect("submit");
+    }
+    let report = server.drain().expect("drain");
+    assert_eq!(report.served(), 12, "{point}");
+    assert_eq!(
+        report.corpus,
+        rag::CorpusStats {
+            live_docs: 1_024,
+            base_docs: 1_024,
+            snapshots: 1,
+            ..rag::CorpusStats::default()
+        },
+        "{point}"
+    );
+    assert!(
+        report
+            .prometheus_text()
+            .contains("apu_corpus_compactions_total 0"),
+        "{point}"
+    );
 }

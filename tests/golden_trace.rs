@@ -12,9 +12,10 @@
 //!   submitted, batched, dispatched, faulted, retried, retired, and in
 //!   what order) never depends on whether payload data is simulated.
 //!
-//! The suite also runs under `APU_SIM_TEST_MODE` (CI matrix), but the
-//! cross-mode assertions construct both modes explicitly so they hold
-//! regardless of the ambient mode.
+//! The single-mode checks loop over both modes in-process. Every
+//! recorded device carries a trace sink, which bypasses the
+//! fast-forward replay cache, so fast-forward has no path into these
+//! runs.
 
 use std::time::Duration;
 
@@ -90,11 +91,12 @@ fn recorded_traces_match_the_pinned_hash() {
 /// timestamps included.
 #[test]
 fn replays_are_byte_identical() {
-    let mode = ExecMode::from_env(ExecMode::Functional);
-    let a = record(mode);
-    let b = record(mode);
-    assert_eq!(a.signature(), b.signature());
-    assert_eq!(a.len(), b.len());
+    for mode in [ExecMode::Functional, ExecMode::TimingOnly] {
+        let a = record(mode);
+        let b = record(mode);
+        assert_eq!(a.signature(), b.signature(), "{mode:?}");
+        assert_eq!(a.len(), b.len(), "{mode:?}");
+    }
 }
 
 /// Functional and timing-only runs tell the same story: identical
@@ -120,21 +122,6 @@ fn functional_and_timing_traces_agree_modulo_timestamps() {
 #[test]
 fn golden_workload_covers_the_event_vocabulary() {
     use apu_sim::TraceEventKind::*;
-    let rec = record(ExecMode::from_env(ExecMode::Functional));
-    let mut saw = [false; 7];
-    for e in rec.events() {
-        let slot = match &e.kind {
-            TaskSubmitted { .. } => 0,
-            BatchFormed { .. } => 1,
-            DispatchIssued { .. } => 2,
-            TaskRetired { .. } => 3,
-            TaskRetried { .. } => 4,
-            FaultInjected { .. } => 5,
-            TaskFailed { .. } | TaskExpired { .. } => 6,
-            _ => continue,
-        };
-        saw[slot] = true;
-    }
     const NAMES: [&str; 7] = [
         "TaskSubmitted",
         "BatchFormed",
@@ -144,8 +131,25 @@ fn golden_workload_covers_the_event_vocabulary() {
         "FaultInjected",
         "TaskFailed/TaskExpired",
     ];
-    for (seen, name) in saw.iter().zip(NAMES) {
-        assert!(seen, "golden workload never emitted {name}");
+    for mode in [ExecMode::Functional, ExecMode::TimingOnly] {
+        let rec = record(mode);
+        let mut saw = [false; 7];
+        for e in rec.events() {
+            let slot = match &e.kind {
+                TaskSubmitted { .. } => 0,
+                BatchFormed { .. } => 1,
+                DispatchIssued { .. } => 2,
+                TaskRetired { .. } => 3,
+                TaskRetried { .. } => 4,
+                FaultInjected { .. } => 5,
+                TaskFailed { .. } | TaskExpired { .. } => 6,
+                _ => continue,
+            };
+            saw[slot] = true;
+        }
+        for (seen, name) in saw.iter().zip(NAMES) {
+            assert!(seen, "{mode:?}: golden workload never emitted {name}");
+        }
     }
 }
 
@@ -214,26 +218,27 @@ fn record_failover(mode: ExecMode) -> Vec<TraceRecorder> {
 /// replication-specific events actually appear in the stream.
 #[test]
 fn failover_replays_are_byte_identical() {
-    let mode = ExecMode::from_env(ExecMode::Functional);
-    let a = record_failover(mode);
-    let b = record_failover(mode);
-    assert_eq!(a.len(), b.len());
-    for (d, (ra, rb)) in a.iter().zip(&b).enumerate() {
-        assert_eq!(
-            ra.signature(),
-            rb.signature(),
-            "device {d} trace diverges between identical runs"
+    for mode in [ExecMode::Functional, ExecMode::TimingOnly] {
+        let a = record_failover(mode);
+        let b = record_failover(mode);
+        assert_eq!(a.len(), b.len(), "{mode:?}");
+        for (d, (ra, rb)) in a.iter().zip(&b).enumerate() {
+            assert_eq!(
+                ra.signature(),
+                rb.signature(),
+                "{mode:?}: device {d} trace diverges between identical runs"
+            );
+        }
+        let all_kinds: Vec<String> = a.iter().flat_map(|r| r.kind_signatures()).collect();
+        assert!(
+            all_kinds.iter().any(|k| k.starts_with("replica-down")),
+            "{mode:?}: the dead replica must be marked down in the trace"
+        );
+        assert!(
+            all_kinds.iter().any(|k| k.starts_with("failover")),
+            "{mode:?}: failover re-issues must be traced"
         );
     }
-    let all_kinds: Vec<String> = a.iter().flat_map(|r| r.kind_signatures()).collect();
-    assert!(
-        all_kinds.iter().any(|k| k.starts_with("replica-down")),
-        "the dead replica must be marked down in the trace"
-    );
-    assert!(
-        all_kinds.iter().any(|k| k.starts_with("failover")),
-        "failover re-issues must be traced"
-    );
 }
 
 /// Functional and timing-only runs of the failover scenario tell the

@@ -21,9 +21,12 @@
 //! answers. Only when a *whole* replica set is down may the answer
 //! degrade to the surviving shards.
 //!
-//! The CI shard axis (`APU_SIM_TEST_SHARDS`) picks the cluster width for
-//! the end-to-end case and `APU_SIM_TEST_REPLICAS` the replication
-//! factor; the properties sweep shard counts 1..=8 on their own.
+//! The end-to-end case loops in-process over the composed points of
+//! `common::CI_POINTS` (mode × shards × replicas × fast-forward) plus a
+//! functional 3-shard cluster; the properties sweep shard counts 1..=8
+//! on their own.
+
+mod common;
 
 use std::time::Duration;
 
@@ -278,34 +281,27 @@ fn only_a_whole_dead_replica_set_degrades_answers() {
     }
 }
 
-/// End-to-end check on the CI shard/replica axes: `APU_SIM_TEST_SHARDS`
-/// sets the cluster width (default 3), `APU_SIM_TEST_REPLICAS` the
-/// replication factor (default 1), `APU_SIM_TEST_MODE` the simulation
-/// mode. With replication a replica of shard 0 is killed outright, so
-/// the stream must be served *through* failover. Scheduling/accounting
-/// assertions hold in both modes; hit equality is gated on functional
-/// execution.
+/// End-to-end check on every composed point: the cluster width, the
+/// replication factor, the simulation mode and fast-forward come from
+/// the point. With replication a replica of shard 0 is killed outright,
+/// so the stream must be served *through* failover.
+/// Scheduling/accounting assertions hold in both modes; hit equality is
+/// gated on functional execution.
 #[test]
 fn ci_shard_axis_serves_the_full_stream() {
-    let axis = |var: &str, default: usize| -> usize {
-        std::env::var(var)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(default)
-    };
-    let shards = axis("APU_SIM_TEST_SHARDS", 3);
-    let replicas = axis("APU_SIM_TEST_REPLICAS", 1);
-    let mode = ExecMode::from_env(ExecMode::Functional);
     let st = store(6_000, 42);
     let queries: Vec<Vec<i16>> = (0..12).map(|i| st.query(i)).collect();
+    for point in common::points_with(common::Point::local(3, 1)) {
+        serve_the_full_stream(&st, &queries, point);
+    }
+}
 
+fn serve_the_full_stream(st: &EmbeddingStore, queries: &[Vec<i16>], point: common::Point) {
+    let (shards, replicas) = (point.shards, point.replicas);
     let mut server = ShardedRagServer::new(
-        &st,
+        st,
         shards,
-        SimConfig::default()
-            .with_exec_mode(mode)
-            .with_l4_bytes(8 << 20),
+        point.sim(),
         ServeConfig {
             replicas,
             ..ServeConfig::default()
@@ -324,12 +320,12 @@ fn ci_shard_axis_serves_the_full_stream() {
     }
     let report = server.drain().expect("drain");
 
-    assert_eq!(report.completions.len(), queries.len());
-    assert_eq!(report.served(), queries.len());
-    assert_eq!(report.degraded(), 0);
-    assert_eq!(report.shards.len(), shards * replicas);
-    assert_eq!(report.replica.per_shard, replicas);
-    assert_eq!(report.replica.groups, shards);
+    assert_eq!(report.completions.len(), queries.len(), "{point}");
+    assert_eq!(report.served(), queries.len(), "{point}");
+    assert_eq!(report.degraded(), 0, "{point}");
+    assert_eq!(report.shards.len(), shards * replicas, "{point}");
+    assert_eq!(report.replica.per_shard, replicas, "{point}");
+    assert_eq!(report.replica.groups, shards, "{point}");
     // Each replica group serves the whole stream between its members
     // (the dead replica's failed attempts re-land on its peers).
     for group in 0..shards {
@@ -338,25 +334,29 @@ fn ci_shard_axis_serves_the_full_stream() {
             .sum();
         assert!(
             served as usize >= queries.len(),
-            "group {group} completed only {served} of {}",
+            "{point}: group {group} completed only {served} of {}",
             queries.len()
         );
     }
     if replicas >= 2 {
         assert!(
             report.replica.failovers >= 1,
-            "the dead replica was never hit"
+            "{point}: the dead replica was never hit"
         );
-        assert!(report.replica.failover_served >= 1);
+        assert!(report.replica.failover_served >= 1, "{point}");
     }
     for done in &report.completions {
-        assert_eq!((done.shards_ok, done.shards_total), (shards, shards));
-        assert_eq!(done.stages.total(), done.latency());
+        assert_eq!(
+            (done.shards_ok, done.shards_total),
+            (shards, shards),
+            "{point}"
+        );
+        assert_eq!(done.stages.total(), done.latency(), "{point}");
     }
-    if mode.is_functional() {
+    if point.mode.is_functional() {
         for done in &report.completions {
-            let expected = sharded_cpu_top_k(&st, &queries[done.ticket.id() as usize], 5, 1);
-            assert_eq!(done.hits().expect("served"), &expected[..]);
+            let expected = sharded_cpu_top_k(st, &queries[done.ticket.id() as usize], 5, 1);
+            assert_eq!(done.hits().expect("served"), &expected[..], "{point}");
         }
     }
 }
